@@ -83,8 +83,6 @@ let () =
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
-  (* the packed OS-table/structure backend is the point of this rig *)
-  Hw.Packed_cache.set_default_backend Hw.Packed_cache.Packed;
   let cfg shards =
     {
       Shard.default with
@@ -121,7 +119,7 @@ let () =
     rig
   in
   Printf.printf
-    "== scale: %s domains / %s pages, 1 shard vs %d shards (plb, packed) ==\n%!"
+    "== scale: %s domains / %s pages, 1 shard vs %d shards (plb) ==\n%!"
     (Util.Tablefmt.cell_int !domains)
     (Util.Tablefmt.cell_int !pages)
     !shards_hi;

@@ -15,7 +15,7 @@
      - --min-ratio R additionally requires ipis(eager) >= R *
        ipis(batched) (default 0 = report only; CI passes 2);
      - the allocation guardrail always gates: the warmed pure-access
-       loop at N cores (packed backend, obs off) must stay under 0.01
+       loop at N cores (obs off) must stay under 0.01
        minor-heap words per access — the scheduler draw, the migrate
        check and the staleness overlay all live on that path.
 
@@ -107,10 +107,9 @@ let () =
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
-  Hw.Packed_cache.set_default_backend Hw.Packed_cache.Packed;
   Printf.printf
     "== shootdown: GC-class revocation storm, %d rounds x %d touches, plb \
-     (packed) ==\n%!"
+     ==\n%!"
     !rounds !touches;
   (* IPI bill per policy at N cores on the identical storm *)
   let bill purge =

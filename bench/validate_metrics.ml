@@ -4,7 +4,7 @@
      validate_metrics METRICS.json      -- sasos-metrics/1 from `sasos report`
      validate_metrics --obs OBS.json    -- sasos-obs/1 from `sasos profile`
      validate_metrics --chrome T.json   -- Chrome trace_event from --chrome-out
-     validate_metrics --same A B        -- byte equality (backend parity gate)
+     validate_metrics --same A B        -- byte equality (determinism gate)
      validate_metrics --compare A B     -- line equality ignoring volatile keys
      validate_metrics --self-test       -- the validator validated: a crafted
                                            mismatch must produce a diagnostic
@@ -119,9 +119,9 @@ let divergence_diag a b (lineno, exp, act) =
   Printf.sprintf "first diverging line is %d:\n  expected (%s): %s\n  actual   (%s): %s"
     lineno a (show exp) b (show act)
 
-(* Backend parity: the rendered report text must be byte-identical
-   between the reference and packed backends (and between the scalar and
-   batch engines). On a break, point at the first diverging line. *)
+(* Determinism: the rendered report text must be byte-identical across
+   job counts and before/after a refactor. On a break, point at the
+   first diverging line. *)
 let validate_same a b =
   let sa = read_all a and sb = read_all b in
   if sa <> sb then begin
@@ -140,7 +140,7 @@ let validate_same a b =
 
 (* Keys whose values legitimately vary between runs of the same
    experiment set: timing, GC counters and the worker count. Everything
-   else in sasos-metrics/1 must agree line for line across backends. *)
+   else in sasos-metrics/1 must agree line for line across runs. *)
 let volatile_keys =
   [
     "\"wall_ns\""; "\"total_wall_ns\""; "\"minor_words\""; "\"major_words\"";

@@ -49,7 +49,6 @@ end
 
 module Hw = struct
   module Replacement = Sasos_hw.Replacement
-  module Assoc_cache = Sasos_hw.Assoc_cache
   module Packed_cache = Sasos_hw.Packed_cache
   module Tlb = Sasos_hw.Tlb
   module Plb = Sasos_hw.Plb
@@ -130,8 +129,6 @@ module Runner = Sasos_runner.Runner
 module Shard = Sasos_shard.Shard
 module Dash = Sasos_shard.Dash
 module Trend = Sasos_trend.Trend
-module Engine = Sasos_engine.Engine
-module Kernel = Sasos_engine.Kernel
 
 module Check = struct
   module Op = Sasos_check.Op

@@ -1,127 +1,67 @@
-type backend = Ref | Packed
-
-let backend_of_string s =
-  match String.lowercase_ascii s with
-  | "ref" | "reference" -> Some Ref
-  | "packed" -> Some Packed
-  | _ -> None
-
-let backend_to_string = function Ref -> "ref" | Packed -> "packed"
-
-(* Written once by the CLI before any machine (or worker domain) exists,
-   read at create time ever after; Atomic keeps the cross-domain read
-   well-defined under the OCaml 5 memory model. *)
-let global_backend : backend Atomic.t = Atomic.make Ref
-
-let default_backend () = Atomic.get global_backend
-let set_default_backend b = Atomic.set global_backend b
-
 let absent = -1
-
-(* --- reference backend: the boxed model, kept authoritative ----------- *)
-
-(* The key record carries the caller's hash so set placement is decided by
-   exactly the same value on both backends. *)
-module RKey = struct
-  type t = { h : int; k1 : int; k2 : int }
-
-  let equal a b = a.k1 = b.k1 && a.k2 = b.k2
-  let hash k = k.h
-end
-
-module RC = Assoc_cache.Make (RKey)
-
-type ref_state = {
-  rc : int RC.t;
-  mutable rev_k1 : int;
-  mutable rev_k2 : int;
-  mutable rev_v : int;
-  mutable rev_some : bool;
-}
-
-(* --- packed backend: unboxed lanes, zero-allocation fast path --------- *)
 
 (* Free slots carry [free_key] in their keys1 lane instead of a separate
    validity byte array: one fewer load per way on every scan. [free_key]
-   is [min_int], which no caller can store ([raw_insert] rejects negative
+   is [min_int], which no caller can store ([insert] rejects negative
    k1), so a free slot can never alias a live key. *)
 let free_key = min_int
 
-type packed_state = {
-  p_policy : Replacement.t;
-  (* splitmix int state for Random victim draws; steps in lockstep with
-     Assoc_cache's [rand] so both backends evict the same ways *)
-  mutable p_rand : int;
-  p_sets : int;
-  p_ways : int;
+type t = {
+  policy : Replacement.t;
+  (* splitmix int state for Random victim draws; steps exactly like the
+     boxed reference model's [rand] so both evict the same ways *)
+  mutable rand : int;
+  sets : int;
+  ways : int;
   keys1 : int array; (* flattened [set * ways + way]; [free_key] = empty *)
   keys2 : int array;
   vals : int array;
   stamps : int array; (* recency for LRU, insertion order for FIFO *)
-  mutable p_tick : int;
-  mutable p_hits : int;
-  mutable p_misses : int;
-  mutable p_evictions : int;
-  mutable p_length : int;
+  mutable tick : int;
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
+  mutable length : int;
   mutable ev_k1 : int;
   mutable ev_k2 : int;
   mutable ev_v : int;
   mutable ev_some : bool;
 }
 
-type t = R of ref_state | P of packed_state
-
-let create ?backend ?(policy = Replacement.Lru) ?(seed = 0x5a505) ~sets ~ways
-    () =
+let create ?(policy = Replacement.Lru) ?(seed = 0x5a505) ~sets ~ways () =
   if sets < 1 || ways < 1 then
     invalid_arg "Packed_cache.create: sets and ways must be >= 1";
-  let backend =
-    match backend with Some b -> b | None -> default_backend ()
-  in
-  match backend with
-  | Ref ->
-      R
-        {
-          rc = RC.create ~policy ~seed ~sets ~ways ();
-          rev_k1 = 0;
-          rev_k2 = 0;
-          rev_v = 0;
-          rev_some = false;
-        }
-  | Packed ->
-      let n = sets * ways in
-      P
-        {
-          p_policy = policy;
-          p_rand = Sasos_util.Prng.Split.init seed;
-          p_sets = sets;
-          p_ways = ways;
-          keys1 = Array.make n free_key;
-          keys2 = Array.make n 0;
-          vals = Array.make n 0;
-          stamps = Array.make n 0;
-          p_tick = 0;
-          p_hits = 0;
-          p_misses = 0;
-          p_evictions = 0;
-          p_length = 0;
-          ev_k1 = 0;
-          ev_k2 = 0;
-          ev_v = 0;
-          ev_some = false;
-        }
+  let n = sets * ways in
+  {
+    policy;
+    rand = Sasos_util.Prng.Split.init seed;
+    sets;
+    ways;
+    keys1 = Array.make n free_key;
+    keys2 = Array.make n 0;
+    vals = Array.make n 0;
+    stamps = Array.make n 0;
+    tick = 0;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+    length = 0;
+    ev_k1 = 0;
+    ev_k2 = 0;
+    ev_v = 0;
+    ev_some = false;
+  }
 
-let backend = function R _ -> Ref | P _ -> Packed
-let sets = function R r -> RC.sets r.rc | P p -> p.p_sets
-let ways = function R r -> RC.ways r.rc | P p -> p.p_ways
-let capacity = function R r -> RC.capacity r.rc | P p -> p.p_sets * p.p_ways
-let length = function R r -> RC.length r.rc | P p -> p.p_length
+let capacity t = t.sets * t.ways
+let length t = t.length
 
-(* Identical to Assoc_cache.set_of: mix, then mask the sign bit — [abs]
-   would map a mixed hash of [min_int] to a negative set index. *)
+(* Mix, then mask the sign bit — [abs] would map a mixed hash of
+   [min_int] to a negative set index. *)
 let set_of_hash sets h =
   let h = h lxor (h lsr 16) in
   (h land max_int) mod sets
+
+let base t hash = set_of_hash t.sets hash * t.ways
 
 (* The scans below are top-level tail-recursive functions, not local
    closures or ref cells: without flambda a `let rec` capturing its
@@ -149,8 +89,7 @@ let rec scan_free (keys1 : int array) j limit =
   else if Array.unsafe_get keys1 j = free_key then j
   else scan_free keys1 (j + 1) limit
 
-(* ascending scan with strict <, so the first minimal stamp wins — the
-   Assoc_cache victim tie-break *)
+(* ascending scan with strict <, so the first minimal stamp wins *)
 let rec scan_min_stamp (stamps : int array) j limit best best_stamp =
   if j >= limit then best
   else
@@ -158,290 +97,159 @@ let rec scan_min_stamp (stamps : int array) j limit best best_stamp =
     if s < best_stamp then scan_min_stamp stamps (j + 1) limit j s
     else scan_min_stamp stamps (j + 1) limit best best_stamp
 
-(* --- raw packed-state operations ---------------------------------------
+(* slot index of (k1, k2) in [hash]'s set, -1 when absent *)
+let index t ~hash ~k1 ~k2 =
+  let b = base t hash in
+  scan_match t.keys1 t.keys2 k1 k2 b (b + t.ways)
 
-   The batch engine's kernel (lib/engine/kernel.ml) precomputes set bases
-   at compile time and drives the packed lanes directly, skipping the
-   per-access hash + division. To keep its semantics identical to the
-   scalar API *by construction*, the raw operations below are the single
-   implementation: the public [find]/[peek]/[insert]/[set_masked] P
-   branches call them with [base = raw_base p ~hash], and the kernel calls
-   them with its precomputed base. Anything one path counts, the other
-   counts. *)
-
-let raw_base p ~hash = set_of_hash p.p_sets hash * p.p_ways
-
-(* the bare scan: slot index of (k1, k2) in the set at [base], -1 when
-   absent; no statistics, no recency. The kernel composes its inlined
-   fast paths from this plus explicit bookkeeping. *)
-let raw_index p ~base ~k1 ~k2 =
-  scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways)
-
-let raw_find p ~base ~k1 ~k2 =
-  let j = scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways) in
-  if j >= 0 then begin
-    p.p_hits <- p.p_hits + 1;
-    (* pattern match, not [=]: polymorphic equality on the variant is
-       a runtime call on the hottest path *)
-    (match p.p_policy with
-    | Replacement.Lru ->
-        p.p_tick <- p.p_tick + 1;
-        p.stamps.(j) <- p.p_tick
-    | Replacement.Fifo | Replacement.Random -> ());
-    Array.unsafe_get p.vals j
-  end
-  else begin
-    p.p_misses <- p.p_misses + 1;
-    absent
-  end
-
-let raw_peek p ~base ~k1 ~k2 =
-  let j = scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways) in
-  if j >= 0 then Array.unsafe_get p.vals j else absent
-
-(* [raw_find] immediately followed by [raw_set_masked ~mask:bits ~bits] on
-   the same key, fused into one scan: on a hit the payload gains [bits]
-   in place ([(v land lnot bits) lor bits = v lor bits]) and the
-   pre-update payload is returned; on a miss set_masked would be a no-op
-   returning false, so only the miss is counted. The TLB's
-   lookup-then-mark access path compiles to this. *)
-let raw_find_mark p ~base ~k1 ~k2 ~bits =
-  let j = scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways) in
-  if j >= 0 then begin
-    p.p_hits <- p.p_hits + 1;
-    (match p.p_policy with
-    | Replacement.Lru ->
-        p.p_tick <- p.p_tick + 1;
-        p.stamps.(j) <- p.p_tick
-    | Replacement.Fifo | Replacement.Random -> ());
-    let v = Array.unsafe_get p.vals j in
-    Array.unsafe_set p.vals j (v lor bits);
-    v
-  end
-  else begin
-    p.p_misses <- p.p_misses + 1;
-    absent
-  end
-
-let raw_victim p base =
-  (* precondition: the row is full, so every slot is valid *)
-  match p.p_policy with
-  | Replacement.Random ->
-      p.p_rand <- Sasos_util.Prng.Split.next p.p_rand;
-      base + Sasos_util.Prng.Split.draw p.p_rand ~bound:p.p_ways
-  | Replacement.Lru | Replacement.Fifo ->
-      scan_min_stamp p.stamps base (base + p.p_ways) base max_int
-
-(* insert of a key known to be absent from its set (a refill after a
-   counted miss): the re-scan [raw_insert] would run is skipped. The
-   kernel's TLB miss path calls this directly; [raw_insert] routes its
-   not-found case here so there is one implementation of placement,
-   victim choice and eviction bookkeeping. *)
-let raw_refill p ~base ~k1 ~k2 v =
-  if k1 < 0 then invalid_arg "Packed_cache.insert: key1 must be >= 0";
-  let free = scan_free p.keys1 base (base + p.p_ways) in
-  (* the fresh stamp is drawn before the victim choice, matching
-     Assoc_cache's tick ordering exactly *)
-  p.p_tick <- p.p_tick + 1;
-  let stamp = p.p_tick in
-  let j =
-    if free >= 0 then begin
-      p.p_length <- p.p_length + 1;
-      p.ev_some <- false;
-      free
-    end
-    else begin
-      let j = raw_victim p base in
-      p.ev_k1 <- p.keys1.(j);
-      p.ev_k2 <- p.keys2.(j);
-      p.ev_v <- p.vals.(j);
-      p.ev_some <- true;
-      p.p_evictions <- p.p_evictions + 1;
-      j
-    end
-  in
-  p.keys1.(j) <- k1;
-  p.keys2.(j) <- k2;
-  p.vals.(j) <- v;
-  p.stamps.(j) <- stamp
-
-let raw_insert p ~base ~k1 ~k2 v =
-  if k1 < 0 then invalid_arg "Packed_cache.insert: key1 must be >= 0";
-  let j = scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways) in
-  if j >= 0 then begin
-    p.vals.(j) <- v;
-    (* re-installing is a touch under LRU; FIFO keeps insertion order *)
-    (match p.p_policy with
-    | Replacement.Lru ->
-        p.p_tick <- p.p_tick + 1;
-        p.stamps.(j) <- p.p_tick
-    | Replacement.Fifo | Replacement.Random -> ());
-    p.ev_some <- false
-  end
-  else raw_refill p ~base ~k1 ~k2 v
-
-let raw_set_masked p ~base ~k1 ~k2 ~mask ~bits =
-  let j = scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways) in
-  if j >= 0 then begin
-    p.vals.(j) <- (p.vals.(j) land lnot mask) lor bits;
-    true
-  end
-  else false
-
-let packed_state = function R _ -> None | P p -> Some p
-
-(* ----------------------------------------------------------------------- *)
+(* pattern match, not [=]: polymorphic equality on the variant is a
+   runtime call on the hottest path *)
+let touch t j =
+  match t.policy with
+  | Replacement.Lru ->
+      t.tick <- t.tick + 1;
+      t.stamps.(j) <- t.tick
+  | Replacement.Fifo | Replacement.Random -> ()
 
 let find t ~hash ~k1 ~k2 =
-  match t with
-  | R r -> begin
-      match RC.find r.rc { RKey.h = hash; k1; k2 } with
-      | Some v -> v
-      | None -> absent
-    end
-  | P p -> raw_find p ~base:(raw_base p ~hash) ~k1 ~k2
+  let j = index t ~hash ~k1 ~k2 in
+  if j >= 0 then begin
+    t.hits <- t.hits + 1;
+    touch t j;
+    Array.unsafe_get t.vals j
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    absent
+  end
 
 let peek t ~hash ~k1 ~k2 =
-  match t with
-  | R r -> begin
-      match RC.peek r.rc { RKey.h = hash; k1; k2 } with
-      | Some v -> v
-      | None -> absent
-    end
-  | P p -> raw_peek p ~base:(raw_base p ~hash) ~k1 ~k2
+  let j = index t ~hash ~k1 ~k2 in
+  if j >= 0 then Array.unsafe_get t.vals j else absent
 
-let mem t ~hash ~k1 ~k2 =
-  match t with
-  | R r -> RC.mem r.rc { RKey.h = hash; k1; k2 }
-  | P p -> raw_peek p ~base:(raw_base p ~hash) ~k1 ~k2 >= 0
+let mem t ~hash ~k1 ~k2 = index t ~hash ~k1 ~k2 >= 0
+
+let victim t base =
+  (* precondition: the row is full, so every slot is valid *)
+  match t.policy with
+  | Replacement.Random ->
+      t.rand <- Sasos_util.Prng.Split.next t.rand;
+      base + Sasos_util.Prng.Split.draw t.rand ~bound:t.ways
+  | Replacement.Lru | Replacement.Fifo ->
+      scan_min_stamp t.stamps base (base + t.ways) base max_int
 
 let insert t ~hash ~k1 ~k2 v =
   if v < 0 then invalid_arg "Packed_cache.insert: payload must be >= 0";
-  match t with
-  | R r -> begin
-      match RC.insert r.rc { RKey.h = hash; k1; k2 } v with
-      | Some (k, ov) ->
-          r.rev_k1 <- k.RKey.k1;
-          r.rev_k2 <- k.RKey.k2;
-          r.rev_v <- ov;
-          r.rev_some <- true
-      | None -> r.rev_some <- false
-    end
-  | P p -> raw_insert p ~base:(raw_base p ~hash) ~k1 ~k2 v
+  if k1 < 0 then invalid_arg "Packed_cache.insert: key1 must be >= 0";
+  let b = base t hash in
+  let j = scan_match t.keys1 t.keys2 k1 k2 b (b + t.ways) in
+  if j >= 0 then begin
+    t.vals.(j) <- v;
+    (* re-installing is a touch under LRU; FIFO keeps insertion order *)
+    touch t j;
+    t.ev_some <- false
+  end
+  else begin
+    let free = scan_free t.keys1 b (b + t.ways) in
+    (* the fresh stamp is drawn before the victim choice *)
+    t.tick <- t.tick + 1;
+    let stamp = t.tick in
+    let j =
+      if free >= 0 then begin
+        t.length <- t.length + 1;
+        t.ev_some <- false;
+        free
+      end
+      else begin
+        let j = victim t b in
+        t.ev_k1 <- t.keys1.(j);
+        t.ev_k2 <- t.keys2.(j);
+        t.ev_v <- t.vals.(j);
+        t.ev_some <- true;
+        t.evictions <- t.evictions + 1;
+        j
+      end
+    in
+    t.keys1.(j) <- k1;
+    t.keys2.(j) <- k2;
+    t.vals.(j) <- v;
+    t.stamps.(j) <- stamp
+  end
 
 let last_eviction t =
-  match t with
-  | R r -> if r.rev_some then Some (r.rev_k1, r.rev_k2, r.rev_v) else None
-  | P p -> if p.ev_some then Some (p.ev_k1, p.ev_k2, p.ev_v) else None
+  if t.ev_some then Some (t.ev_k1, t.ev_k2, t.ev_v) else None
 
 let set_masked t ~hash ~k1 ~k2 ~mask ~bits =
-  match t with
-  | R r ->
-      RC.update r.rc { RKey.h = hash; k1; k2 } (fun v ->
-          (v land lnot mask) lor bits)
-  | P p -> raw_set_masked p ~base:(raw_base p ~hash) ~k1 ~k2 ~mask ~bits
+  let j = index t ~hash ~k1 ~k2 in
+  if j >= 0 then begin
+    t.vals.(j) <- (t.vals.(j) land lnot mask) lor bits;
+    true
+  end
+  else false
 
 let set t ~hash ~k1 ~k2 v =
   if v < 0 then invalid_arg "Packed_cache.set: payload must be >= 0";
   set_masked t ~hash ~k1 ~k2 ~mask:(-1) ~bits:v
 
 let remove t ~hash ~k1 ~k2 =
-  match t with
-  | R r -> RC.remove r.rc { RKey.h = hash; k1; k2 }
-  | P p ->
-      let base = raw_base p ~hash in
-      let j =
-        scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways)
-      in
-      if j >= 0 then begin
-        p.keys1.(j) <- free_key;
-        p.p_length <- p.p_length - 1;
-        true
-      end
-      else false
+  let j = index t ~hash ~k1 ~k2 in
+  if j >= 0 then begin
+    t.keys1.(j) <- free_key;
+    t.length <- t.length - 1;
+    true
+  end
+  else false
 
 let purge t pred =
-  match t with
-  | R r -> RC.purge r.rc (fun k v -> pred k.RKey.k1 k.RKey.k2 v)
-  | P p ->
-      let inspected = ref 0 and removed = ref 0 in
-      let n = p.p_sets * p.p_ways in
-      for j = 0 to n - 1 do
-        if p.keys1.(j) <> free_key then begin
-          incr inspected;
-          if pred p.keys1.(j) p.keys2.(j) p.vals.(j) then begin
-            p.keys1.(j) <- free_key;
-            p.p_length <- p.p_length - 1;
-            incr removed
-          end
-        end
-      done;
-      (!inspected, !removed)
+  let inspected = ref 0 and removed = ref 0 in
+  for j = 0 to (t.sets * t.ways) - 1 do
+    if t.keys1.(j) <> free_key then begin
+      incr inspected;
+      if pred t.keys1.(j) t.keys2.(j) t.vals.(j) then begin
+        t.keys1.(j) <- free_key;
+        t.length <- t.length - 1;
+        incr removed
+      end
+    end
+  done;
+  (!inspected, !removed)
 
 let rewrite t f =
-  match t with
-  | R r ->
-      let pending = ref [] in
-      RC.iter
-        (fun k v ->
-          let v' = f k.RKey.k1 k.RKey.k2 v in
-          if v' <> v then pending := (k, v') :: !pending)
-        r.rc;
-      List.iter
-        (fun (k, v') ->
-          if v' < 0 then
-            invalid_arg "Packed_cache.rewrite: payload must be >= 0";
-          ignore (RC.update r.rc k (fun _ -> v')))
-        !pending;
-      List.length !pending
-  | P p ->
-      let changed = ref 0 in
-      let n = p.p_sets * p.p_ways in
-      for j = 0 to n - 1 do
-        if p.keys1.(j) <> free_key then begin
-          let v = p.vals.(j) in
-          let v' = f p.keys1.(j) p.keys2.(j) v in
-          if v' <> v then begin
-            if v' < 0 then
-              invalid_arg "Packed_cache.rewrite: payload must be >= 0";
-            p.vals.(j) <- v';
-            incr changed
-          end
-        end
-      done;
-      !changed
+  let changed = ref 0 in
+  for j = 0 to (t.sets * t.ways) - 1 do
+    if t.keys1.(j) <> free_key then begin
+      let v = t.vals.(j) in
+      let v' = f t.keys1.(j) t.keys2.(j) v in
+      if v' <> v then begin
+        if v' < 0 then invalid_arg "Packed_cache.rewrite: payload must be >= 0";
+        t.vals.(j) <- v';
+        incr changed
+      end
+    end
+  done;
+  !changed
 
 let clear t =
-  match t with
-  | R r -> RC.clear r.rc
-  | P p ->
-      let dropped = p.p_length in
-      Array.fill p.keys1 0 (Array.length p.keys1) free_key;
-      p.p_length <- 0;
-      dropped
+  let dropped = t.length in
+  Array.fill t.keys1 0 (Array.length t.keys1) free_key;
+  t.length <- 0;
+  dropped
 
 let iter f t =
-  match t with
-  | R r -> RC.iter (fun k v -> f k.RKey.k1 k.RKey.k2 v) r.rc
-  | P p ->
-      let n = p.p_sets * p.p_ways in
-      for j = 0 to n - 1 do
-        if p.keys1.(j) <> free_key then f p.keys1.(j) p.keys2.(j) p.vals.(j)
-      done
+  for j = 0 to (t.sets * t.ways) - 1 do
+    if t.keys1.(j) <> free_key then f t.keys1.(j) t.keys2.(j) t.vals.(j)
+  done
 
 let fold f t init =
   let acc = ref init in
   iter (fun k1 k2 v -> acc := f k1 k2 v !acc) t;
   !acc
 
-let hits = function R r -> RC.hits r.rc | P p -> p.p_hits
-let misses = function R r -> RC.misses r.rc | P p -> p.p_misses
-let evictions = function R r -> RC.evictions r.rc | P p -> p.p_evictions
+let hits t = t.hits
+let misses t = t.misses
+let evictions t = t.evictions
 
 let reset_stats t =
-  match t with
-  | R r -> RC.reset_stats r.rc
-  | P p ->
-      p.p_hits <- 0;
-      p.p_misses <- 0;
-      p.p_evictions <- 0
+  t.hits <- 0;
+  t.misses <- 0;
+  t.evictions <- 0

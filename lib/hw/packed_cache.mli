@@ -1,60 +1,29 @@
 (** Set-associative cache specialized to int-packed keys and int payloads.
 
     The PLB, TLB and page-group cache sit on every simulated memory access.
-    {!Assoc_cache} models them faithfully but pays for it: boxed record
-    keys, an allocated slot per entry and [option] returns on the hot path.
-    This module keys the same geometry/policy/accounting semantics onto
-    unboxed [int array] lanes so the access fast path (find / insert /
-    evict) performs zero heap allocations.
+    This module keeps their entries in unboxed [int array] lanes so the
+    access fast path (find / insert / evict) performs zero heap
+    allocations. It models a cache of [sets × ways] slots with a
+    replacement policy, and counts hits, misses and evictions.
 
-    Keys are two ints ([k1], [k2]) plus a caller-supplied hash — the
-    wrappers keep using the exact multiplicative hash of their old
-    {!Assoc_cache} key modules, so set placement (and therefore every
-    hit/miss/eviction decision) is identical across backends. The set
-    index masks the mixed hash to non-negative before [mod] — the same
-    [min_int] guard {!Assoc_cache} carries ([abs min_int] is negative).
+    Keys are two ints ([k1], [k2]) plus a caller-supplied hash, which
+    decides set placement. The set index masks the mixed hash to
+    non-negative before [mod] ([abs min_int] is negative).
 
     Payloads are non-negative ints; {!absent} ([-1]) is the miss sentinel,
     which is what makes an allocation-free [find] possible ([Some v] would
     allocate).
 
-    Every instance carries a {!backend}: [Packed] is the int-lane
-    implementation, [Ref] routes the same API through {!Assoc_cache}
-    (the reference model, kept authoritative). A differential harness can
-    therefore drive both through one interface; see
-    [test/test_packed_cache.ml]. *)
-
-type backend = Ref | Packed
-
-val backend_of_string : string -> backend option
-(** ["ref"] / ["packed"] (case-insensitive). *)
-
-val backend_to_string : backend -> string
-
-val default_backend : unit -> backend
-(** Process-global default used when {!create} (or a wrapper's [create])
-    is called without an explicit backend. Initially [Ref]. *)
-
-val set_default_backend : backend -> unit
-(** Set the global default. Called by the CLI's [--backend] flag before
-    any machine is built; worker domains spawned afterwards observe it. *)
+    The boxed set-associative model this module must agree with lives in
+    the test suite as an oracle; see [test/test_packed_cache.ml]. *)
 
 type t
 
 val create :
-  ?backend:backend ->
-  ?policy:Replacement.t ->
-  ?seed:int ->
-  sets:int ->
-  ways:int ->
-  unit ->
-  t
-(** Same defaults as {!Assoc_cache.S.create}: LRU, seed [0x5a505].
+  ?policy:Replacement.t -> ?seed:int -> sets:int -> ways:int -> unit -> t
+(** LRU by default; [seed] (default [0x5a505]) only matters for [Random].
     @raise Invalid_argument unless [sets >= 1] and [ways >= 1]. *)
 
-val backend : t -> backend
-val sets : t -> int
-val ways : t -> int
 val capacity : t -> int
 val length : t -> int
 
@@ -64,8 +33,7 @@ val absent : int
 
 val find : t -> hash:int -> k1:int -> k2:int -> int
 (** Counted probe: increments hits or misses, refreshes recency under
-    LRU. Returns the payload, or {!absent}. Never allocates on the
-    [Packed] backend. *)
+    LRU. Returns the payload, or {!absent}. Never allocates. *)
 
 val peek : t -> hash:int -> k1:int -> k2:int -> int
 (** Uncounted, recency-neutral {!find}. *)
@@ -73,19 +41,19 @@ val peek : t -> hash:int -> k1:int -> k2:int -> int
 val mem : t -> hash:int -> k1:int -> k2:int -> bool
 
 val insert : t -> hash:int -> k1:int -> k2:int -> int -> unit
-(** Insert or overwrite, with {!Assoc_cache} semantics: overwriting a
-    resident key is an LRU touch (FIFO keeps insertion order); a fresh key
-    fills a free way or evicts the policy's victim (counted). The victim,
-    if any, is readable via {!last_eviction} until the next [insert].
-    @raise Invalid_argument on a negative payload. *)
+(** Insert or overwrite: overwriting a resident key is an LRU touch (FIFO
+    keeps insertion order); a fresh key fills a free way or evicts the
+    policy's victim (counted). The victim, if any, is readable via
+    {!last_eviction} until the next [insert].
+    @raise Invalid_argument on a negative payload or a negative [k1]. *)
 
 val last_eviction : t -> (int * int * int) option
 (** [(k1, k2, payload)] evicted by the most recent {!insert}, or [None]
     if it evicted nothing. For the differential tests; allocates. *)
 
 val set : t -> hash:int -> k1:int -> k2:int -> int -> bool
-(** Replace a resident payload in place — no statistics, no recency
-    (the {!Assoc_cache.S.update} discipline). False when absent.
+(** Replace a resident payload in place — no statistics, no recency.
+    False when absent.
     @raise Invalid_argument on a negative payload. *)
 
 val set_masked : t -> hash:int -> k1:int -> k2:int -> mask:int -> bits:int -> bool
@@ -119,86 +87,3 @@ val hits : t -> int
 val misses : t -> int
 val evictions : t -> int
 val reset_stats : t -> unit
-
-(** {2 Raw packed-state access}
-
-    The batch engine's decode loop (lib/engine) compiles set bases ahead
-    of time and drives the packed lanes directly, skipping the per-access
-    hash + [mod sets] division. The raw operations below are the {e only}
-    implementation of the packed fast path — the public API's [Packed]
-    branches call them with [base = raw_base state ~hash] — so a kernel
-    built on them counts hits/misses/evictions and draws victims exactly
-    as the scalar calls would. *)
-
-type packed_state = {
-  p_policy : Replacement.t;
-  mutable p_rand : int;
-      (** splitmix state for Random victim draws; steps in lockstep with
-          the [Ref] backend's so both evict the same ways *)
-  p_sets : int;
-  p_ways : int;
-  keys1 : int array;
-      (** flattened [set * ways + way]; a free slot holds {!free_key} *)
-  keys2 : int array;
-  vals : int array;
-  stamps : int array;
-      (** recency for LRU, insertion order for FIFO *)
-  mutable p_tick : int;
-  mutable p_hits : int;
-  mutable p_misses : int;
-  mutable p_evictions : int;
-  mutable p_length : int;
-  mutable ev_k1 : int;
-  mutable ev_k2 : int;
-  mutable ev_v : int;
-  mutable ev_some : bool;
-}
-
-val packed_state : t -> packed_state option
-(** The underlying lanes when the backend is [Packed]; [None] under
-    [Ref]. *)
-
-val free_key : int
-(** The keys1 sentinel marking a free slot ([min_int]); storable keys are
-    non-negative ({!insert} and {!raw_insert} reject negative [k1]), so a
-    key comparison alone distinguishes live entries — scans need no
-    separate validity lane. *)
-
-val raw_base : packed_state -> hash:int -> int
-(** Flattened index of the first way of [hash]'s set — precomputable when
-    the key (hence hash) is known at compile time. *)
-
-val raw_index : packed_state -> base:int -> k1:int -> k2:int -> int
-(** The bare scan: flattened slot index of [(k1, k2)] in the set at
-    [base], or -1 when absent. No statistics, no recency touch — the
-    kernel's inlined decode arms compose their bookkeeping around this
-    (and the lockstep properties pin them to {!raw_find}'s). *)
-
-val raw_find : packed_state -> base:int -> k1:int -> k2:int -> int
-(** {!find} given a precomputed set base. *)
-
-val raw_peek : packed_state -> base:int -> k1:int -> k2:int -> int
-(** {!peek} given a precomputed set base. *)
-
-val raw_find_mark :
-  packed_state -> base:int -> k1:int -> k2:int -> bits:int -> int
-(** {!find} fused with [set_masked ~mask:bits ~bits] on the same key, in
-    one scan: a hit returns the pre-update payload after ORing [bits] into
-    it; a miss counts and returns {!absent} (set_masked would have been a
-    no-op). The TLB access path (lookup + mark_used) compiles to this. *)
-
-val raw_insert : packed_state -> base:int -> k1:int -> k2:int -> int -> unit
-(** {!insert} given a precomputed set base. Does {e not} re-check the
-    payload sign; callers validate (the engine does so at compile time).
-    @raise Invalid_argument on a negative [k1]. *)
-
-val raw_refill : packed_state -> base:int -> k1:int -> k2:int -> int -> unit
-(** {!raw_insert} for a key already known to be absent from its set — a
-    refill following a counted miss — skipping the presence re-scan.
-    Placement, victim choice and eviction bookkeeping are shared with
-    {!raw_insert} (which delegates its not-found case here).
-    @raise Invalid_argument on a negative [k1]. *)
-
-val raw_set_masked :
-  packed_state -> base:int -> k1:int -> k2:int -> mask:int -> bits:int -> bool
-(** {!set_masked} given a precomputed set base. *)

@@ -1,16 +1,14 @@
 (* Entries live in a Packed_cache: k1 = AID, k2 = 0, payload 0/1 = the
-   write-disable bit. Same multiplicative hash as the old Assoc_cache key
-   module, so set placement (trivially, with sets = 1) and eviction order
-   are unchanged on either backend. *)
+   write-disable bit, hashed with a multiplicative mix. *)
 
 let hash_of aid = aid * 0x9e3779b1
 
 type t = { cache : Packed_cache.t; probe : Probe.t }
 
-let create ?backend ?policy ?seed ?(probe = Probe.null) ~entries () =
+let create ?policy ?seed ?(probe = Probe.null) ~entries () =
   if entries < 1 then invalid_arg "Page_group_cache.create: entries >= 1";
   {
-    cache = Packed_cache.create ?backend ?policy ?seed ~sets:1 ~ways:entries ();
+    cache = Packed_cache.create ?policy ?seed ~sets:1 ~ways:entries ();
     probe;
   }
 
@@ -66,4 +64,3 @@ let hits t = Packed_cache.hits t.cache
 let misses t = Packed_cache.misses t.cache
 let reset_stats t = Packed_cache.reset_stats t.cache
 
-let raw_cache t = t.cache

@@ -11,12 +11,10 @@
 type t
 
 val create :
-  ?backend:Packed_cache.backend ->
   ?policy:Replacement.t -> ?seed:int -> ?probe:Probe.t -> entries:int ->
   unit -> t
 (** [entries = 4] models the stock PA-RISC PID registers. [probe] receives
-    occupancy/fill/purge gauge writes (default {!Probe.null}). [backend]
-    defaults to {!Packed_cache.default_backend}. *)
+    occupancy/fill/purge gauge writes (default {!Probe.null}). *)
 
 val capacity : t -> int
 val length : t -> int
@@ -51,9 +49,6 @@ val hits : t -> int
 val misses : t -> int
 val reset_stats : t -> unit
 
-val raw_cache : t -> Packed_cache.t
-(** The underlying cache, for the batch engine's compiled kernel.
-    Bypasses the occupancy probe — kernel users run with [Probe.null]. *)
 
 val hash_of : int -> int
 (** The AID key hash, exported so the batch compiler can precompute set

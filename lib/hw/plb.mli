@@ -16,7 +16,6 @@ open Sasos_addr
 type t
 
 val create :
-  ?backend:Packed_cache.backend ->
   ?policy:Replacement.t ->
   ?seed:int ->
   ?probe:Probe.t ->
@@ -27,8 +26,7 @@ val create :
   t
 (** [shifts] lists the supported protection page sizes as log2 byte sizes;
     default [[12]] (4 KB only). [probe] receives occupancy/fill/purge
-    gauge writes (default {!Probe.null}). [backend] defaults to
-    {!Packed_cache.default_backend}.
+    gauge writes (default {!Probe.null}).
     @raise Invalid_argument if empty. *)
 
 val shifts : t -> int list
@@ -80,14 +78,9 @@ val hits : t -> int
 val misses : t -> int
 val reset_stats : t -> unit
 
-val raw_cache : t -> Packed_cache.t
-(** The underlying cache, for the batch engine's compiled kernel (which
-    precomputes this module's hashes and set bases at compile time).
-    Bypasses the occupancy probe — kernel users run with [Probe.null]. *)
-
 val hash_of : pd:int -> shift:int -> pn:int -> int
-(** The PLB's key hash (a pure function of the key), exported so the batch
-    compiler can precompute set placement. *)
+(** The PLB's key hash (a pure function of the key), exported so a
+    reference model can reproduce set placement. *)
 
 val pack_k2 : pd:int -> shift:int -> int
 (** The PLB's second key lane: [(pd lsl 6) lor shift]. *)

@@ -43,8 +43,8 @@ let hash_of ~space ~vpn = (vpn * 0x9e3779b1) lxor (space * 0x85ebca6b)
 
 type t = { cache : Packed_cache.t; probe : Probe.t }
 
-let create ?backend ?policy ?seed ?(probe = Probe.null) ~sets ~ways () =
-  { cache = Packed_cache.create ?backend ?policy ?seed ~sets ~ways (); probe }
+let create ?policy ?seed ?(probe = Probe.null) ~sets ~ways () =
+  { cache = Packed_cache.create ?policy ?seed ~sets ~ways (); probe }
 
 let note_occupancy t =
   Probe.set_occupancy t.probe Probe.Tlb (Packed_cache.length t.cache)
@@ -122,4 +122,3 @@ let hits t = Packed_cache.hits t.cache
 let misses t = Packed_cache.misses t.cache
 let reset_stats t = Packed_cache.reset_stats t.cache
 
-let raw_cache t = t.cache

@@ -15,7 +15,7 @@ open Sasos_addr
 
     Entries are bit-packed ints — referenced (bit 0), dirty (bit 1),
     rights (3 bits), AID (26 bits), PFN (31 bits) — so the lookup fast
-    path is allocation-free on the packed backend. Figure 1 of the paper
+    path is allocation-free. Figure 1 of the paper
     budgets 16 bits of PD-ID and 3 bits of rights next to a 52-bit VPN;
     the simulator widens the AID lane to 26 bits to carry Okamoto-style
     context tags. *)
@@ -42,7 +42,6 @@ val with_rights : int -> Rights.t -> int
 (** Entry with its rights field replaced. *)
 
 val create :
-  ?backend:Packed_cache.backend ->
   ?policy:Replacement.t ->
   ?seed:int ->
   ?probe:Probe.t ->
@@ -51,14 +50,14 @@ val create :
   unit ->
   t
 (** [probe] receives occupancy/fill/purge gauge writes (default
-    {!Probe.null}). [backend] defaults to {!Packed_cache.default_backend}. *)
+    {!Probe.null}). *)
 
 val capacity : t -> int
 val length : t -> int
 
 val lookup : t -> space:int -> vpn:Va.vpn -> int
 (** Counted probe (hit/miss statistics, LRU touch). Returns the packed
-    entry or {!absent}; never allocates on the packed backend. *)
+    entry or {!absent}; never allocates. *)
 
 val peek : t -> space:int -> vpn:Va.vpn -> int
 (** Uncounted, recency-neutral {!lookup}. *)
@@ -107,12 +106,9 @@ val hits : t -> int
 val misses : t -> int
 val reset_stats : t -> unit
 
-val raw_cache : t -> Packed_cache.t
-(** The underlying cache, for the batch engine's compiled kernel.
-    Bypasses the occupancy probe — kernel users run with [Probe.null]. *)
 
 val hash_of : space:int -> vpn:int -> int
-(** The TLB's key hash, exported so the batch compiler can precompute set
+(** The TLB's key hash, exported so a reference model can reproduce set
     placement. *)
 
 val referenced_bit : int
@@ -120,6 +116,3 @@ val dirty_bit : int
 (** Entry bit masks for the access-path bookkeeping ({!mark_used} ORs
     [referenced_bit lor (dirty_bit when writing)]). *)
 
-val pfn_shift : int
-(** Bit position of the PFN field inside a packed entry
-    ([pfn_of e = e lsr pfn_shift]). *)

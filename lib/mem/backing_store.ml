@@ -11,7 +11,7 @@ type t = { table : Flat_tab.t; mutable bytes : int }
 let vpn_k1 vpn = vpn land 0x3FFF_FFFF
 let vpn_k2 vpn = vpn lsr 30
 
-let create () = { table = Flat_tab.create ~size_hint:1024 (); bytes = 0 }
+let create () = { table = Flat_tab.create (); bytes = 0 }
 
 let write t ~vpn ~bytes_used =
   let k1 = vpn_k1 vpn and k2 = vpn_k2 vpn in

@@ -1,9 +1,8 @@
 open Sasos_util
-open Sasos_addr
 
-type mapping = { pfn : int; mutable dirty : bool; mutable referenced : bool }
+type mapping = { pfn : int; dirty : bool; referenced : bool }
 
-(* Packed entry layout (Flat_tab value lane, non-negative):
+(* Entry layout (Flat_tab value lane, non-negative):
      bit 0     dirty
      bit 1     referenced
      bits 2..  pfn
@@ -17,122 +16,52 @@ let bits_pfn bits = bits lsr 2
 let bits_dirty bits = bits land 1 <> 0
 let bits_referenced bits = bits land 2 <> 0
 
-type t =
-  | Href of (Va.vpn, mapping) Hashtbl.t
-  | Flat of Flat_tab.t
+type t = Flat_tab.t
 
-let create ?(packed = false) () =
-  if packed then Flat (Flat_tab.create ~size_hint:4096 ())
-  else Href (Hashtbl.create 4096)
+let create () = Flat_tab.create ()
 
 let map t ~vpn ~pfn =
-  match t with
-  | Href h ->
-      if Hashtbl.mem h vpn then
-        invalid_arg "Inverted_page_table.map: page already mapped";
-      Hashtbl.replace h vpn { pfn; dirty = false; referenced = false }
-  | Flat f ->
-      let k1 = vpn_k1 vpn and k2 = vpn_k2 vpn in
-      if Flat_tab.mem f ~k1 ~k2 then
-        invalid_arg "Inverted_page_table.map: page already mapped";
-      Flat_tab.replace f ~k1 ~k2 ~v:(pfn lsl 2)
+  let k1 = vpn_k1 vpn and k2 = vpn_k2 vpn in
+  if Flat_tab.mem t ~k1 ~k2 then
+    invalid_arg "Inverted_page_table.map: page already mapped";
+  Flat_tab.replace t ~k1 ~k2 ~v:(pfn lsl 2)
+
+let mapping_of_bits bits =
+  {
+    pfn = bits_pfn bits;
+    dirty = bits_dirty bits;
+    referenced = bits_referenced bits;
+  }
 
 (* Zero-allocation unmap: packed bits of the dropped mapping, or -1 when
-   the page was not mapped.  The record-returning [unmap] stays for the
-   reference backend and diagnostics; page replacement uses this one. *)
+   the page was not mapped.  Page replacement uses this one; the
+   record-returning [unmap] is for diagnostics. *)
 let unmap_bits t ~vpn =
-  match t with
-  | Href h -> (
-      match Hashtbl.find_opt h vpn with
-      | None -> -1
-      | Some m ->
-          Hashtbl.remove h vpn;
-          (m.pfn lsl 2)
-          lor (if m.referenced then 2 else 0)
-          lor (if m.dirty then 1 else 0))
-  | Flat f ->
-      let k1 = vpn_k1 vpn and k2 = vpn_k2 vpn in
-      let bits = Flat_tab.find f ~k1 ~k2 in
-      if bits >= 0 then Flat_tab.remove f ~k1 ~k2;
-      bits
+  let k1 = vpn_k1 vpn and k2 = vpn_k2 vpn in
+  let bits = Flat_tab.find t ~k1 ~k2 in
+  if bits >= 0 then Flat_tab.remove t ~k1 ~k2;
+  bits
 
 let unmap t ~vpn =
-  match t with
-  | Href h -> (
-      match Hashtbl.find_opt h vpn with
-      | None -> raise Not_found
-      | Some m ->
-          Hashtbl.remove h vpn;
-          m)
-  | Flat f ->
-      let k1 = vpn_k1 vpn and k2 = vpn_k2 vpn in
-      let bits = Flat_tab.find f ~k1 ~k2 in
-      if bits < 0 then raise Not_found;
-      Flat_tab.remove f ~k1 ~k2;
-      {
-        pfn = bits_pfn bits;
-        dirty = bits_dirty bits;
-        referenced = bits_referenced bits;
-      }
+  let bits = unmap_bits t ~vpn in
+  if bits < 0 then raise Not_found;
+  mapping_of_bits bits
 
-let find_bits t ~vpn =
-  match t with
-  | Href h -> (
-      match Hashtbl.find_opt h vpn with
-      | None -> -1
-      | Some m ->
-          (m.pfn lsl 2)
-          lor (if m.referenced then 2 else 0)
-          lor (if m.dirty then 1 else 0))
-  | Flat f -> Flat_tab.find f ~k1:(vpn_k1 vpn) ~k2:(vpn_k2 vpn)
+let find_bits t ~vpn = Flat_tab.find t ~k1:(vpn_k1 vpn) ~k2:(vpn_k2 vpn)
 
 let find t ~vpn =
-  match t with
-  | Href h -> Hashtbl.find_opt h vpn
-  | Flat _ ->
-      let bits = find_bits t ~vpn in
-      if bits < 0 then None
-      else
-        Some
-          {
-            pfn = bits_pfn bits;
-            dirty = bits_dirty bits;
-            referenced = bits_referenced bits;
-          }
+  let bits = find_bits t ~vpn in
+  if bits < 0 then None else Some (mapping_of_bits bits)
 
 let set_dirty t ~vpn =
-  match t with
-  | Href h -> (
-      match Hashtbl.find_opt h vpn with
-      | Some m -> m.dirty <- true
-      | None -> ())
-  | Flat f -> ignore (Flat_tab.or_in f ~k1:(vpn_k1 vpn) ~k2:(vpn_k2 vpn) ~bits:1)
+  ignore (Flat_tab.or_in t ~k1:(vpn_k1 vpn) ~k2:(vpn_k2 vpn) ~bits:1)
 
 let set_referenced t ~vpn =
-  match t with
-  | Href h -> (
-      match Hashtbl.find_opt h vpn with
-      | Some m -> m.referenced <- true
-      | None -> ())
-  | Flat f -> ignore (Flat_tab.or_in f ~k1:(vpn_k1 vpn) ~k2:(vpn_k2 vpn) ~bits:2)
+  ignore (Flat_tab.or_in t ~k1:(vpn_k1 vpn) ~k2:(vpn_k2 vpn) ~bits:2)
 
-let is_mapped t ~vpn =
-  match t with
-  | Href h -> Hashtbl.mem h vpn
-  | Flat f -> Flat_tab.mem f ~k1:(vpn_k1 vpn) ~k2:(vpn_k2 vpn)
-
-let mapped_count t =
-  match t with Href h -> Hashtbl.length h | Flat f -> Flat_tab.length f
+let is_mapped t ~vpn = Flat_tab.mem t ~k1:(vpn_k1 vpn) ~k2:(vpn_k2 vpn)
+let mapped_count t = Flat_tab.length t
 
 let iter f t =
-  match t with
-  | Href h -> Hashtbl.iter f h
-  | Flat ft ->
-      Flat_tab.iter ft (fun k1 k2 bits ->
-          f
-            ((k2 lsl 30) lor k1)
-            {
-              pfn = bits_pfn bits;
-              dirty = bits_dirty bits;
-              referenced = bits_referenced bits;
-            })
+  Flat_tab.iter t (fun k1 k2 bits ->
+      f ((k2 lsl 30) lor k1) (mapping_of_bits bits))

@@ -6,25 +6,18 @@
     recommends for software-loaded TLBs. Protection lives elsewhere
     (per-machine protection tables).
 
-    Two storage backends share one interface. The reference backend keeps
-    a [Hashtbl] of mutable mapping records; the packed backend
-    ([create ~packed:true]) stores each entry as one int in flat
-    {!Sasos_util.Flat_tab} lanes so lookups never allocate — required for
-    tens of millions of pages. On the packed backend {!find} returns a
-    {e snapshot}: mutating the returned record does not write back (use
-    {!set_dirty} / {!set_referenced}, which work on both backends). *)
+    Each entry is one int in flat {!Sasos_util.Flat_tab} lanes so
+    lookups never allocate — required for tens of millions of pages.
+    {!find} returns a snapshot of the entry; {!set_dirty} and
+    {!set_referenced} update it in place. *)
 
 open Sasos_addr
 
-type mapping = {
-  pfn : int;
-  mutable dirty : bool;
-  mutable referenced : bool;
-}
+type mapping = { pfn : int; dirty : bool; referenced : bool }
 
 type t
 
-val create : ?packed:bool -> unit -> t
+val create : unit -> t
 
 val map : t -> vpn:Va.vpn -> pfn:int -> unit
 (** @raise Invalid_argument if the page is already mapped (a SASOS has
@@ -38,7 +31,7 @@ val unmap_bits : t -> vpn:Va.vpn -> int
     (see {!find_bits}), or [-1] when the page was not mapped. *)
 
 val find : t -> vpn:Va.vpn -> mapping option
-(** Snapshot on the packed backend; live record on the reference one. *)
+(** A snapshot of the entry. *)
 
 val find_bits : t -> vpn:Va.vpn -> int
 (** Zero-allocation lookup: [-1] if unmapped, else

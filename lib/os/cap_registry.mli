@@ -11,10 +11,9 @@ open Sasos_addr
 
 type t
 
-val create : ?packed:bool -> ?seed:int -> unit -> t
-(** [~packed:true] keeps the check index in flat int lanes (the 64-bit
-    check split across two key lanes at full precision) so {!validate}
-    never allocates; the default keeps the reference [Hashtbl]. *)
+val create : ?seed:int -> unit -> t
+(** The check index sits in flat int lanes (the 64-bit check split across
+    two key lanes at full precision) so {!validate} never allocates. *)
 
 (** {2 Capabilities} *)
 

@@ -3,46 +3,33 @@ open Sasos_addr
 open Sasos_hw
 open Sasos_mem
 
-(* The protection database has two storage backends behind one interface,
-   selected by [Packed_cache.default_backend ()] like the hardware caches:
+(* The protection database keeps every table on {!Flat_tab} int lanes,
+   so the ground-truth [rights] probe (override, then segment binary
+   search, then attachment) touches only int arrays and never allocates.
+   Three auxiliary indexes replace the O(#domains) scans that would be
+   catastrophic at million-domain scale geometries:
+     [seg_doms]    seg id -> pds holding an attachment or any override
+                   inside the segment (candidates for
+                   [domains_with_rights]);
+     [unit_over]   protection unit -> number of live-domain overrides
+                   (O(1) [page_has_override]);
+     [live]        created-and-not-destroyed pds, because only created
+                   domains hold rights.
 
-   - [Sref]: the reference representation — polymorphic Hashtbls keyed by
-     (pd, seg id) / (pd, protection unit) tuples.  Every probe allocates
-     the tuple key and hashes generically.
+   Pds and segment ids are both handed out densely from 1, so [live] is
+   a byte per pd and [seg_doms] an array slot per segment id. As hash
+   tables these two indexes held about 30 of the store's 56 MB on one
+   250k-domain scale shard. The boxed reference model lives in
+   test/ref_os_store.ml and test_os_store.ml runs the two in lockstep. *)
 
-   - [Sflat]: all three tables rekeyed onto {!Flat_tab} int lanes, so the
-     ground-truth [rights] probe (override, then segment binary search,
-     then attachment) touches only int arrays and never allocates.  Three
-     auxiliary indexes replace the O(#domains) scans that would be
-     catastrophic at million-domain scale geometries:
-       [seg_doms]    seg id -> pds holding an attachment or any override
-                     inside the segment (candidates for
-                     [domains_with_rights]);
-       [unit_over]   protection unit -> number of live-domain overrides
-                     (O(1) [page_has_override]);
-       [dom_live]    created-and-not-destroyed pds, because the reference
-                     semantics consult only created domains.
-
-   Both backends are QCheck-lockstepped (test/test_os_store.ml) and the
-   packed one is additionally gated by the differential harness, corpus
-   replay and the byte-identical report rules via [--backend packed]. *)
-
-type flat_store = {
-  f_attachments : Flat_tab.t; (* k1 = pd, k2 = seg id -> rights *)
-  f_overrides : Flat_tab.t; (* k1 = pd, k2 = prot unit -> rights *)
-  f_override_counts : Flat_tab.t; (* k1 = pd, k2 = seg id -> count *)
-  f_unit_over : Flat_tab.t; (* prot unit (split lanes) -> live count *)
-  f_seg_doms : (int, int list) Hashtbl.t;
-  f_dom_live : Flat_tab.t; (* pd -> 1 *)
+type store = {
+  attachments : Flat_tab.t; (* k1 = pd, k2 = seg id -> rights *)
+  overrides : Flat_tab.t; (* k1 = pd, k2 = prot unit -> rights *)
+  override_counts : Flat_tab.t; (* k1 = pd, k2 = seg id -> count *)
+  unit_over : Flat_tab.t; (* prot unit (split lanes) -> live count *)
+  mutable seg_doms : int list array; (* seg id -> candidate pds *)
+  mutable live : Bytes.t; (* pd -> '\001' while live *)
 }
-
-type store =
-  | Sref of {
-      attachments : (int * int, Rights.t) Hashtbl.t;
-      overrides : (int * int, Rights.t) Hashtbl.t;
-      override_counts : (int * int, int) Hashtbl.t;
-    }
-  | Sflat of flat_store
 
 type t = {
   config : Config.t;
@@ -55,7 +42,6 @@ type t = {
   disk : Backing_store.t;
   store : store;
   resident_fifo : Int_queue.t;
-  mutable domains : Pd.t list;
   mutable next_pd : int;
   mutable current : Pd.t;
   rng : Prng.t;
@@ -63,36 +49,25 @@ type t = {
 }
 
 let create (config : Config.t) =
-  let packed = Packed_cache.default_backend () = Packed_cache.Packed in
   {
     config;
     geom = config.Config.geom;
     cost = config.Config.cost;
     metrics = Metrics.create ();
-    segments = Segment_table.create ~packed config.Config.geom;
+    segments = Segment_table.create config.Config.geom;
     frames = Frame_allocator.create ~frames:config.Config.frames;
-    ipt = Inverted_page_table.create ~packed ();
+    ipt = Inverted_page_table.create ();
     disk = Backing_store.create ();
     store =
-      (if packed then
-         Sflat
-           {
-             f_attachments = Flat_tab.create ~size_hint:256 ();
-             f_overrides = Flat_tab.create ~size_hint:1024 ();
-             f_override_counts = Flat_tab.create ~size_hint:256 ();
-             f_unit_over = Flat_tab.create ~size_hint:1024 ();
-             f_seg_doms = Hashtbl.create 256;
-             f_dom_live = Flat_tab.create ~size_hint:256 ();
-           }
-       else
-         Sref
-           {
-             attachments = Hashtbl.create 256;
-             overrides = Hashtbl.create 1024;
-             override_counts = Hashtbl.create 256;
-           });
+      {
+        attachments = Flat_tab.create ();
+        overrides = Flat_tab.create ();
+        override_counts = Flat_tab.create ();
+        unit_over = Flat_tab.create ();
+        seg_doms = Array.make 16 [];
+        live = Bytes.make 16 '\000';
+      };
     resident_fifo = Int_queue.create ~capacity:4096 ();
-    domains = [];
     next_pd = 1;
     current = Pd.kernel;
     rng = Prng.create ~seed:config.Config.seed;
@@ -104,34 +79,47 @@ let create (config : Config.t) =
 let unit_k1 u = u land 0x3FFF_FFFF
 let unit_k2 u = u lsr 30
 
-let live s pd = Flat_tab.mem s.f_dom_live ~k1:pd ~k2:0
+let live s pd =
+  pd >= 0 && pd < Bytes.length s.live && Bytes.unsafe_get s.live pd <> '\000'
+
+(* Double [n] until it exceeds [i]. *)
+let rec grown n i = if i < n then n else grown (n * 2) i
+
+let set_live s pd flag =
+  if pd >= Bytes.length s.live then begin
+    let b = Bytes.make (grown (Bytes.length s.live) pd) '\000' in
+    Bytes.blit s.live 0 b 0 (Bytes.length s.live);
+    s.live <- b
+  end;
+  Bytes.set s.live pd flag
+
+let seg_doms s sid =
+  if sid < Array.length s.seg_doms then s.seg_doms.(sid) else []
 
 let sd_add s sid pd =
-  let cur =
-    match Hashtbl.find_opt s.f_seg_doms sid with Some l -> l | None -> []
-  in
-  if not (List.mem pd cur) then Hashtbl.replace s.f_seg_doms sid (pd :: cur)
+  if sid >= Array.length s.seg_doms then begin
+    let a = Array.make (grown (Array.length s.seg_doms) sid) [] in
+    Array.blit s.seg_doms 0 a 0 (Array.length s.seg_doms);
+    s.seg_doms <- a
+  end;
+  let cur = s.seg_doms.(sid) in
+  if not (List.mem pd cur) then s.seg_doms.(sid) <- pd :: cur
 
 (* Drop pd from the segment's candidate list iff it no longer holds an
    attachment or any override count there. *)
 let sd_drop_if_orphan s sid pd =
   if
-    Flat_tab.find s.f_attachments ~k1:pd ~k2:sid < 0
-    && Flat_tab.find s.f_override_counts ~k1:pd ~k2:sid < 0
-  then
-    match Hashtbl.find_opt s.f_seg_doms sid with
-    | None -> ()
-    | Some l -> (
-        match List.filter (fun p -> p <> pd) l with
-        | [] -> Hashtbl.remove s.f_seg_doms sid
-        | l' -> Hashtbl.replace s.f_seg_doms sid l')
+    Flat_tab.find s.attachments ~k1:pd ~k2:sid < 0
+    && Flat_tab.find s.override_counts ~k1:pd ~k2:sid < 0
+    && sid < Array.length s.seg_doms
+  then s.seg_doms.(sid) <- List.filter (fun p -> p <> pd) s.seg_doms.(sid)
 
 let unit_over_bump s u delta =
   let k1 = unit_k1 u and k2 = unit_k2 u in
-  let c = Flat_tab.find s.f_unit_over ~k1 ~k2 in
+  let c = Flat_tab.find s.unit_over ~k1 ~k2 in
   let c = (if c < 0 then 0 else c) + delta in
-  if c <= 0 then Flat_tab.remove s.f_unit_over ~k1 ~k2
-  else Flat_tab.replace s.f_unit_over ~k1 ~k2 ~v:c
+  if c <= 0 then Flat_tab.remove s.unit_over ~k1 ~k2
+  else Flat_tab.replace s.unit_over ~k1 ~k2 ~v:c
 
 (* Redirect this OS instance's counters onto [m] (the smp layer shares
    one record across all replica cores so replicated kernel work — the
@@ -141,203 +129,129 @@ let unit_over_bump s u delta =
 let share_metrics t m = t.metrics <- m
 
 let new_domain t =
-  let pd = Pd.of_int t.next_pd in
-  t.next_pd <- t.next_pd + 1;
-  t.domains <- pd :: t.domains;
-  (match t.store with
-  | Sref _ -> ()
-  | Sflat s -> Flat_tab.replace s.f_dom_live ~k1:(Pd.to_int pd) ~k2:0 ~v:1);
-  pd
+  let pd = t.next_pd in
+  t.next_pd <- pd + 1;
+  set_live t.store pd '\001';
+  Pd.of_int pd
 
-let domain_list t = List.rev t.domains
+(* Creation order is ascending pd: ids are handed out monotonically. *)
+let domain_list t =
+  let s = t.store in
+  let rec go pd acc =
+    if pd < 1 then acc
+    else go (pd - 1) (if live s pd then Pd.of_int pd :: acc else acc)
+  in
+  go (t.next_pd - 1) []
 
 let destroy_domain t pd =
   if Pd.equal t.current pd then
     invalid_arg "Os_core.destroy_domain: domain is running";
-  t.domains <- List.filter (fun d -> not (Pd.equal d pd)) t.domains;
+  let s = t.store in
   let i = Pd.to_int pd in
-  match t.store with
-  | Sref s ->
-      let drop tbl =
-        let keys =
-          Hashtbl.fold
-            (fun (d, k) _ acc -> if d = i then (d, k) :: acc else acc)
-            tbl []
-        in
-        List.iter (Hashtbl.remove tbl) keys
-      in
-      drop s.attachments;
-      drop s.overrides;
-      drop s.override_counts
-  | Sflat s ->
-      let was_live = live s i in
-      let collect tab =
-        Flat_tab.fold tab
-          (fun k1 k2 _ acc -> if k1 = i then k2 :: acc else acc)
-          []
-      in
-      let att_segs = collect s.f_attachments in
-      let over_units = collect s.f_overrides in
-      let count_segs = collect s.f_override_counts in
-      List.iter (fun sid -> Flat_tab.remove s.f_attachments ~k1:i ~k2:sid)
-        att_segs;
-      List.iter
-        (fun u ->
-          Flat_tab.remove s.f_overrides ~k1:i ~k2:u;
-          if was_live then unit_over_bump s u (-1))
-        over_units;
-      List.iter
-        (fun sid -> Flat_tab.remove s.f_override_counts ~k1:i ~k2:sid)
-        count_segs;
-      Flat_tab.remove s.f_dom_live ~k1:i ~k2:0;
-      List.iter
-        (fun sid -> sd_drop_if_orphan s sid i)
-        (List.sort_uniq compare (att_segs @ count_segs))
+  let was_live = live s i in
+  let collect tab =
+    Flat_tab.fold tab (fun k1 k2 _ acc -> if k1 = i then k2 :: acc else acc) []
+  in
+  let att_segs = collect s.attachments in
+  let over_units = collect s.overrides in
+  let count_segs = collect s.override_counts in
+  List.iter (fun sid -> Flat_tab.remove s.attachments ~k1:i ~k2:sid) att_segs;
+  List.iter
+    (fun u ->
+      Flat_tab.remove s.overrides ~k1:i ~k2:u;
+      if was_live then unit_over_bump s u (-1))
+    over_units;
+  List.iter
+    (fun sid -> Flat_tab.remove s.override_counts ~k1:i ~k2:sid)
+    count_segs;
+  if was_live then set_live s i '\000';
+  List.iter
+    (fun sid -> sd_drop_if_orphan s sid i)
+    (List.sort_uniq compare (att_segs @ count_segs))
 
 let prot_unit t va = va lsr t.geom.Geometry.prot_shift
 
 let rights t pd va =
-  match t.store with
-  | Sref s -> (
-      match Hashtbl.find_opt s.overrides (Pd.to_int pd, prot_unit t va) with
-      | Some r -> r
-      | None -> begin
-          match Segment_table.find_by_va t.segments va with
-          | None -> Rights.none
-          | Some seg -> begin
-              match
-                Hashtbl.find_opt s.attachments
-                  (Pd.to_int pd, Segment.id_to_int seg.Segment.id)
-              with
-              | Some r -> r
-              | None -> Rights.none
-            end
-        end)
-  | Sflat s ->
-      let pdi = Pd.to_int pd in
-      let u = prot_unit t va in
-      let o = Flat_tab.find s.f_overrides ~k1:pdi ~k2:u in
-      if o >= 0 then Rights.of_int o
-      else
-        let sid = Segment_table.find_id_by_va t.segments va in
-        if sid < 0 then Rights.none
-        else
-          let a = Flat_tab.find s.f_attachments ~k1:pdi ~k2:sid in
-          if a >= 0 then Rights.of_int a else Rights.none
+  let s = t.store in
+  let pdi = Pd.to_int pd in
+  let o = Flat_tab.find s.overrides ~k1:pdi ~k2:(prot_unit t va) in
+  if o >= 0 then Rights.of_int o
+  else
+    let sid = Segment_table.find_id_by_va t.segments va in
+    if sid < 0 then Rights.none
+    else
+      let a = Flat_tab.find s.attachments ~k1:pdi ~k2:sid in
+      if a >= 0 then Rights.of_int a else Rights.none
 
 let set_attachment t pd seg r =
+  let s = t.store in
   let sid = Segment.id_to_int seg.Segment.id in
-  match t.store with
-  | Sref s -> Hashtbl.replace s.attachments (Pd.to_int pd, sid) r
-  | Sflat s ->
-      let pdi = Pd.to_int pd in
-      Flat_tab.replace s.f_attachments ~k1:pdi ~k2:sid ~v:(Rights.to_int r);
-      sd_add s sid pdi
-
-let count_key t pd va =
-  Option.map
-    (fun seg -> (Pd.to_int pd, Segment.id_to_int seg.Segment.id))
-    (Segment_table.find_by_va t.segments va)
+  let pdi = Pd.to_int pd in
+  Flat_tab.replace s.attachments ~k1:pdi ~k2:sid ~v:(Rights.to_int r);
+  sd_add s sid pdi
 
 let remove_attachment t pd (seg : Segment.t) =
+  let s = t.store in
   let sid = Segment.id_to_int seg.Segment.id in
   let pdi = Pd.to_int pd in
   let shift = t.geom.Geometry.prot_shift in
-  let lo = seg.Segment.base lsr shift in
-  let hi = (Segment.limit seg - 1) lsr shift in
-  match t.store with
-  | Sref s ->
-      Hashtbl.remove s.attachments (pdi, sid);
-      (* per-page overrides within the segment die with the attachment *)
-      for unit = lo to hi do
-        Hashtbl.remove s.overrides (pdi, unit)
-      done;
-      Hashtbl.remove s.override_counts (pdi, sid)
-  | Sflat s ->
-      Flat_tab.remove s.f_attachments ~k1:pdi ~k2:sid;
-      let was_live = live s pdi in
-      for unit = lo to hi do
-        if Flat_tab.find s.f_overrides ~k1:pdi ~k2:unit >= 0 then begin
-          Flat_tab.remove s.f_overrides ~k1:pdi ~k2:unit;
-          if was_live then unit_over_bump s unit (-1)
-        end
-      done;
-      Flat_tab.remove s.f_override_counts ~k1:pdi ~k2:sid;
-      sd_drop_if_orphan s sid pdi
+  Flat_tab.remove s.attachments ~k1:pdi ~k2:sid;
+  (* per-page overrides within the segment die with the attachment *)
+  let was_live = live s pdi in
+  for unit = seg.Segment.base lsr shift to (Segment.limit seg - 1) lsr shift do
+    if Flat_tab.find s.overrides ~k1:pdi ~k2:unit >= 0 then begin
+      Flat_tab.remove s.overrides ~k1:pdi ~k2:unit;
+      if was_live then unit_over_bump s unit (-1)
+    end
+  done;
+  Flat_tab.remove s.override_counts ~k1:pdi ~k2:sid;
+  sd_drop_if_orphan s sid pdi
 
 let attachment t pd (seg : Segment.t) =
   let sid = Segment.id_to_int seg.Segment.id in
-  match t.store with
-  | Sref s -> Hashtbl.find_opt s.attachments (Pd.to_int pd, sid)
-  | Sflat s ->
-      let v = Flat_tab.find s.f_attachments ~k1:(Pd.to_int pd) ~k2:sid in
-      if v < 0 then None else Some (Rights.of_int v)
+  let v = Flat_tab.find t.store.attachments ~k1:(Pd.to_int pd) ~k2:sid in
+  if v < 0 then None else Some (Rights.of_int v)
 
 let bump_count t pd va delta =
-  match t.store with
-  | Sref s -> (
-      match count_key t pd va with
-      | None -> ()
-      | Some key ->
-          let c =
-            Option.value (Hashtbl.find_opt s.override_counts key) ~default:0
-          in
-          let c = c + delta in
-          if c <= 0 then Hashtbl.remove s.override_counts key
-          else Hashtbl.replace s.override_counts key c)
-  | Sflat s -> (
-      match Segment_table.find_id_by_va t.segments va with
-      | -1 -> ()
-      | sid ->
-          let pdi = Pd.to_int pd in
-          let c = Flat_tab.find s.f_override_counts ~k1:pdi ~k2:sid in
-          let c = (if c < 0 then 0 else c) + delta in
-          if c <= 0 then begin
-            Flat_tab.remove s.f_override_counts ~k1:pdi ~k2:sid;
-            sd_drop_if_orphan s sid pdi
-          end
-          else begin
-            Flat_tab.replace s.f_override_counts ~k1:pdi ~k2:sid ~v:c;
-            sd_add s sid pdi
-          end)
+  match Segment_table.find_id_by_va t.segments va with
+  | -1 -> ()
+  | sid ->
+      let s = t.store in
+      let pdi = Pd.to_int pd in
+      let c = Flat_tab.find s.override_counts ~k1:pdi ~k2:sid in
+      let c = (if c < 0 then 0 else c) + delta in
+      if c <= 0 then begin
+        Flat_tab.remove s.override_counts ~k1:pdi ~k2:sid;
+        sd_drop_if_orphan s sid pdi
+      end
+      else begin
+        Flat_tab.replace s.override_counts ~k1:pdi ~k2:sid ~v:c;
+        sd_add s sid pdi
+      end
 
 let set_override t pd va r =
+  let s = t.store in
   let u = prot_unit t va in
-  match t.store with
-  | Sref s ->
-      let key = (Pd.to_int pd, u) in
-      if not (Hashtbl.mem s.overrides key) then bump_count t pd va 1;
-      Hashtbl.replace s.overrides key r
-  | Sflat s ->
-      let pdi = Pd.to_int pd in
-      if Flat_tab.find s.f_overrides ~k1:pdi ~k2:u < 0 then begin
-        bump_count t pd va 1;
-        if live s pdi then unit_over_bump s u 1
-      end;
-      Flat_tab.replace s.f_overrides ~k1:pdi ~k2:u ~v:(Rights.to_int r)
+  let pdi = Pd.to_int pd in
+  if Flat_tab.find s.overrides ~k1:pdi ~k2:u < 0 then begin
+    bump_count t pd va 1;
+    if live s pdi then unit_over_bump s u 1
+  end;
+  Flat_tab.replace s.overrides ~k1:pdi ~k2:u ~v:(Rights.to_int r)
 
 let clear_override t pd va =
+  let s = t.store in
   let u = prot_unit t va in
-  match t.store with
-  | Sref s ->
-      let key = (Pd.to_int pd, u) in
-      if Hashtbl.mem s.overrides key then begin
-        Hashtbl.remove s.overrides key;
-        bump_count t pd va (-1)
-      end
-  | Sflat s ->
-      let pdi = Pd.to_int pd in
-      if Flat_tab.find s.f_overrides ~k1:pdi ~k2:u >= 0 then begin
-        Flat_tab.remove s.f_overrides ~k1:pdi ~k2:u;
-        bump_count t pd va (-1);
-        if live s pdi then unit_over_bump s u (-1)
-      end
+  let pdi = Pd.to_int pd in
+  if Flat_tab.find s.overrides ~k1:pdi ~k2:u >= 0 then begin
+    Flat_tab.remove s.overrides ~k1:pdi ~k2:u;
+    bump_count t pd va (-1);
+    if live s pdi then unit_over_bump s u (-1)
+  end
 
 let has_overrides t pd (seg : Segment.t) =
   let sid = Segment.id_to_int seg.Segment.id in
-  match t.store with
-  | Sref s -> Hashtbl.mem s.override_counts (Pd.to_int pd, sid)
-  | Sflat s -> Flat_tab.find s.f_override_counts ~k1:(Pd.to_int pd) ~k2:sid >= 0
+  Flat_tab.find t.store.override_counts ~k1:(Pd.to_int pd) ~k2:sid >= 0
 
 let override_units_in_segment t pd (seg : Segment.t) =
   if not (has_overrides t pd seg) then []
@@ -347,64 +261,37 @@ let override_units_in_segment t pd (seg : Segment.t) =
     let hi = (Segment.limit seg - 1) lsr shift in
     let pdi = Pd.to_int pd in
     let units = ref [] in
-    (match t.store with
-    | Sref s ->
-        for unit = hi downto lo do
-          if Hashtbl.mem s.overrides (pdi, unit) then units := unit :: !units
-        done
-    | Sflat s ->
-        for unit = hi downto lo do
-          if Flat_tab.find s.f_overrides ~k1:pdi ~k2:unit >= 0 then
-            units := unit :: !units
-        done);
+    for unit = hi downto lo do
+      if Flat_tab.find t.store.overrides ~k1:pdi ~k2:unit >= 0 then
+        units := unit :: !units
+    done;
     !units
   end
 
-let page_has_override t va =
-  let unit = prot_unit t va in
-  match t.store with
-  | Sref s ->
-      List.exists
-        (fun pd -> Hashtbl.mem s.overrides (Pd.to_int pd, unit))
-        t.domains
-  | Sflat s ->
-      Flat_tab.find s.f_unit_over ~k1:(unit_k1 unit) ~k2:(unit_k2 unit) > 0
+let unit_overridden s unit =
+  Flat_tab.find s.unit_over ~k1:(unit_k1 unit) ~k2:(unit_k2 unit) > 0
+
+let page_has_override t va = unit_overridden t.store (prot_unit t va)
 
 let domains_with_rights t va =
-  match t.store with
-  | Sref _ ->
-      List.filter_map
-        (fun pd ->
-          let r = rights t pd va in
-          if Rights.equal r Rights.none then None else Some (pd, r))
-        (domain_list t)
-  | Sflat s -> (
-      let keep pdi =
-        if not (live s pdi) then None
-        else
-          let pd = Pd.of_int pdi in
-          let r = rights t pd va in
-          if Rights.equal r Rights.none then None else Some (pd, r)
-      in
-      match Segment_table.find_id_by_va t.segments va with
-      | -1 ->
-          (* outside every live segment only overrides can grant; the
-             per-unit live count tells us whether any exist at all *)
-          let unit = prot_unit t va in
-          if Flat_tab.find s.f_unit_over ~k1:(unit_k1 unit) ~k2:(unit_k2 unit)
-             <= 0
-          then []
-          else
-            List.filter_map (fun pd -> keep (Pd.to_int pd)) (domain_list t)
-      | sid ->
-          let pds =
-            match Hashtbl.find_opt s.f_seg_doms sid with
-            | Some l -> l
-            | None -> []
-          in
-          (* candidate lists are unordered; reference order is creation
-             order, which is ascending pd since ids are monotonic *)
-          List.filter_map keep (List.sort_uniq compare pds))
+  let s = t.store in
+  let keep pdi =
+    if not (live s pdi) then None
+    else
+      let pd = Pd.of_int pdi in
+      let r = rights t pd va in
+      if Rights.equal r Rights.none then None else Some (pd, r)
+  in
+  match Segment_table.find_id_by_va t.segments va with
+  | -1 ->
+      (* outside every live segment only overrides can grant; the
+         per-unit live count tells us whether any exist at all *)
+      if not (unit_overridden s (prot_unit t va)) then []
+      else List.filter_map (fun pd -> keep (Pd.to_int pd)) (domain_list t)
+  | sid ->
+      (* candidate lists are unordered; the result is in creation order,
+         which is ascending pd *)
+      List.filter_map keep (List.sort_uniq compare (seg_doms s sid))
 
 let charge t cycles = t.metrics.Metrics.cycles <- t.metrics.Metrics.cycles + cycles
 

@@ -15,13 +15,12 @@ open Sasos_mem
 
 type store
 (** The protection database — per-(domain, segment) attachment rights,
-    per-(domain, protection-unit) overrides, and override counts — on one
-    of two storage backends: the reference tuple-keyed Hashtbls, or flat
-    {!Sasos_util.Flat_tab} int lanes whose ground-truth probes never
-    allocate (plus the candidate/count indexes that keep
+    per-(domain, protection-unit) overrides, and override counts — on
+    flat {!Sasos_util.Flat_tab} int lanes whose ground-truth probes never
+    allocate, plus a dense liveness byte map indexed by pd and a dense
+    segment-id index of candidate domains, which keep
     {!domains_with_rights} and {!page_has_override} off O(#domains) scans
-    at million-domain geometries). Selected at {!create} time by
-    [Packed_cache.default_backend ()], i.e. the CLI's [--backend] flag. *)
+    at million-domain geometries. *)
 
 type t = {
   config : Config.t;
@@ -39,7 +38,6 @@ type t = {
   resident_fifo : Sasos_util.Int_queue.t;
       (** eviction order when memory fills; residency itself is IPT
           membership *)
-  mutable domains : Pd.t list;  (** newest first *)
   mutable next_pd : int;
   mutable current : Pd.t;
   rng : Sasos_util.Prng.t;
@@ -59,7 +57,7 @@ val share_metrics : t -> Sasos_hw.Metrics.t -> unit
 
 val new_domain : t -> Pd.t
 val domain_list : t -> Pd.t list
-(** All created domains, oldest first. *)
+(** All live (created, not destroyed) domains, oldest first. *)
 
 val destroy_domain : t -> Pd.t -> unit
 (** Remove the domain and all of its attachments and overrides from the

@@ -8,11 +8,10 @@ open Sasos_addr
 
 type t
 
-val create : ?packed:bool -> Geometry.t -> t
-(** [~packed:true] keeps live segments in flat sorted int-array lanes
-    ({!find_id_by_va} becomes a zero-allocation binary search); the
-    default keeps the reference [Map]/[Hashtbl] representation. Both
-    expose identical semantics and iteration order (ascending base). *)
+val create : Geometry.t -> t
+(** Live segments sit in flat sorted int-array lanes, so {!find_id_by_va}
+    is a zero-allocation binary search; iteration is in ascending base
+    order. *)
 
 val allocate : t -> ?name:string -> ?align_shift:int -> pages:int -> unit -> Segment.t
 (** [align_shift] additionally aligns the base to [2^align_shift] bytes
@@ -28,8 +27,8 @@ val find : t -> Segment.id -> Segment.t option
 val find_by_va : t -> Va.t -> Segment.t option
 
 val find_id_by_va : t -> Va.t -> int
-(** The id of the live segment containing [va], or [-1]. On the packed
-    backend this touches only int lanes and never allocates. *)
+(** The id of the live segment containing [va], or [-1]. Touches only
+    int lanes and never allocates. *)
 
 val live_count : t -> int
 val iter : (Segment.t -> unit) -> t -> unit

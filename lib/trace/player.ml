@@ -42,12 +42,20 @@ let replay trace sys =
         !domains.(!npd) <- Some (System_ops.new_domain sys);
         incr npd
     | Event.Destroy_domain { pd = d } ->
-        System_ops.destroy_domain sys (pd d);
+        let victim = pd d in
+        if Pd.equal victim (System_ops.current_domain sys) then
+          raise (Bad (Printf.sprintf "domain %d is running" d));
+        System_ops.destroy_domain sys victim;
         !domains.(d) <- None
     | Event.New_segment { pages; align_shift; name } ->
+        let sg =
+          (* the segment table refuses a size or alignment it cannot
+             place before it allocates anything *)
+          try System_ops.new_segment sys ~name ?align_shift ~pages ()
+          with Invalid_argument msg -> raise (Bad msg)
+        in
         grow segments !nseg;
-        !segments.(!nseg) <-
-          Some (System_ops.new_segment sys ~name ?align_shift ~pages ());
+        !segments.(!nseg) <- Some sg;
         incr nseg
     | Event.Destroy_segment { seg = s } ->
         System_ops.destroy_segment sys (seg s);
@@ -70,6 +78,8 @@ let replay trace sys =
           raise (Bad (Printf.sprintf "page %d outside segment %d" page s));
         System_ops.unmap_page sys (Segment.first_vpn sg + page)
     | Event.Charge { cycles; page_ins; page_outs } ->
+        if cycles < 0 || page_ins < 0 || page_outs < 0 then
+          raise (Bad "negative charge");
         System_ops.charge_external sys ~page_ins ~page_outs ~cycles ()
   in
   (* When a collector is ambient, each replayed event becomes a phase span

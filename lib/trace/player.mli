@@ -18,7 +18,11 @@ val replay :
   Event.t list -> System_intf.packed -> (Access.outcome list, error) result
 (** Execute the trace; the result lists the outcome of each [Access] event
     in order. Fails (without raising) on a malformed trace: references to
-    domains/segments that do not exist yet, offsets outside a segment. *)
+    domains/segments that do not exist yet, offsets outside a segment,
+    destroying the running domain, a negative charge, or a segment the
+    segment table refuses (fewer than one page, an alignment below the
+    page size or beyond the address space, more pages than the address
+    space has left). *)
 
 val replay_exn : Event.t list -> System_intf.packed -> Access.outcome list
 (** @raise Invalid_argument on a malformed trace. *)

@@ -236,6 +236,18 @@ let test_report_jobs_invariant () =
   in
   Alcotest.(check bool) "mutated reports identical" true (mtext 1 = mtext 3)
 
+(* the conformance-script trace encoding is exactly invertible: the
+   geometry comes back from the prologue, the script from the rest *)
+let prop_events_roundtrip =
+  QCheck2.Test.make ~count:60 ~name:"op: of_events inverts to_events"
+    ~print:(fun (seed, ops) -> Printf.sprintf "seed %d, %d ops" seed ops)
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 120))
+    (fun (seed, ops) ->
+      let script = Gen.script (Util.Prng.create ~seed) geom ~ops in
+      match Op.of_events (Op.to_events geom script) with
+      | Error _ -> false
+      | Ok (geom', script') -> geom' = geom && script' = script)
+
 let suite =
   [
     Alcotest.test_case "oracle: attach/grant" `Quick test_oracle_attach_grant;
@@ -253,6 +265,7 @@ let suite =
     Alcotest.test_case "mutations detected, shrunk <= 15 ops" `Slow
       test_mutations_detected_and_shrunk;
     Alcotest.test_case "shrink deletes noise" `Quick test_shrink_deletes_noise;
+    Qprop.to_alcotest prop_events_roundtrip;
     Alcotest.test_case "corpus roundtrip" `Quick test_corpus_roundtrip;
     Alcotest.test_case "corpus detects tampering" `Quick
       test_corpus_detects_tampering;

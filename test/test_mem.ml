@@ -30,9 +30,9 @@ let test_ipt () =
     (fun () -> Inverted_page_table.map t ~vpn:10 ~pfn:4);
   (match Inverted_page_table.find t ~vpn:10 with
   | Some m ->
-      Alcotest.(check int) "pfn" 3 m.Inverted_page_table.pfn;
-      m.Inverted_page_table.dirty <- true
+      Alcotest.(check int) "pfn" 3 m.Inverted_page_table.pfn
   | None -> Alcotest.fail "expected mapping");
+  Inverted_page_table.set_dirty t ~vpn:10;
   let m = Inverted_page_table.unmap t ~vpn:10 in
   Alcotest.(check bool) "dirty preserved" true m.Inverted_page_table.dirty;
   Alcotest.(check bool) "unmapped" false (Inverted_page_table.is_mapped t ~vpn:10);

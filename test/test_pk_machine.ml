@@ -37,14 +37,14 @@ let print_case (seed, ops) =
   let script = Gen.script (Util.Prng.create ~seed) geom ~ops in
   Printf.sprintf "seed %d, %d ops: %s" seed ops (Op.show_script script)
 
-let lockstep ~name ?engine config =
+let lockstep ~name config =
   QCheck2.Test.make ~count:120 ~print:print_case ~name gen_case
     (fun (seed, ops) ->
       let script = Gen.script (Util.Prng.create ~seed) geom ~ops in
       let want = Oracle.run geom script in
       let t = Pk.create config in
       let { Exec.outcomes; over_allow } =
-        Exec.run_packed ?engine geom script (pack t)
+        Exec.run_packed geom script (pack t)
       in
       (not over_allow)
       && List.length outcomes = List.length want
@@ -65,10 +65,21 @@ let prop_smp =
   lockstep ~name:"pk lockstep: 4 cpus (shootdown paths)"
     (Config.v ~cpus:4 ())
 
-let prop_batch_engine =
-  lockstep ~name:"pk lockstep: 2 keys under the batch engine"
-    ~engine:Sasos.Engine.Batch
-    (Config.v ~pk_keys:2 ~pk_policy:`Recycle ())
+(* the same 2-key recycle lockstep, but with the script compiled to a
+   portable trace and executed by the trace player — the path corpus
+   replays take — instead of the direct script executor *)
+let prop_tiny_recycle_player =
+  QCheck2.Test.make ~count:120 ~print:print_case
+    ~name:"pk lockstep: 2 keys, recycle, through the trace player" gen_case
+    (fun (seed, ops) ->
+      let script = Gen.script (Util.Prng.create ~seed) geom ~ops in
+      let want = Oracle.run geom script in
+      let t = Pk.create (Config.v ~pk_keys:2 ~pk_policy:`Recycle ()) in
+      match Trace.Player.replay (Op.to_events geom script) (pack t) with
+      | Error _ -> false
+      | Ok outcomes ->
+          List.length outcomes = List.length want
+          && List.for_all2 Access.outcome_equal outcomes want)
 
 (* trap policy never recycles: its whole point is to leave bindings alone
    and mediate unkeyed pages in the kernel *)
@@ -225,7 +236,7 @@ let suite =
     Qprop.to_alcotest prop_tiny_recycle;
     Qprop.to_alcotest prop_tiny_trap;
     Qprop.to_alcotest prop_smp;
-    Qprop.to_alcotest prop_batch_engine;
+    Qprop.to_alcotest prop_tiny_recycle_player;
     Qprop.to_alcotest prop_trap_never_recycles;
     Alcotest.test_case "exhaustion boundary minimizes to <= 4 ops" `Quick
       test_exhaustion_boundary;

@@ -1,10 +1,10 @@
 (* Multicore shootdown layer (lib/smp): the seeded-interleaving
    determinism contract — identical (seed, cores, policy) means
-   byte-identical metrics and schedule hash on every machine, backend
-   and engine — plus the per-policy coherence invariants (eager leaves
-   no stale entry behind; lazy traps on every stale reuse and never
-   grants above the pre-revocation snapshot; batched flushes exactly at
-   the IPI budget) and the multicore differential harness itself. *)
+   byte-identical metrics and schedule hash on every machine — plus the
+   per-policy coherence invariants (eager leaves no stale entry behind;
+   lazy traps on every stale reuse and never grants above the
+   pre-revocation snapshot; batched flushes exactly at the IPI budget)
+   and the multicore differential harness itself. *)
 
 open Sasos
 module Op = Check.Op
@@ -12,7 +12,6 @@ module Gen = Check.Gen
 module Exec = Check.Exec
 module Harness = Check.Harness
 module Mutate = Check.Mutate
-module Backend = Hw.Packed_cache
 
 let geom = Op.default_geom
 let outcome = Alcotest.testable Access.pp_outcome Access.outcome_equal
@@ -27,18 +26,16 @@ let variants =
   ]
 
 (* Restore every process-global a test touches, pass or fail — the rest
-   of the suite runs single-core on the default backend. *)
+   of the suite runs single-core. *)
 let with_globals f =
   let cores = Smp.cores () in
   let purge = Smp.purge () in
   let budget = Smp.ipi_budget () in
-  let backend = Backend.default_backend () in
   Fun.protect
     ~finally:(fun () ->
       Smp.set_cores cores;
       Smp.set_purge purge;
-      Smp.set_ipi_budget budget;
-      Backend.set_default_backend backend)
+      Smp.set_ipi_budget budget)
     f
 
 (* -- interleaving determinism (QCheck) ---------------------------------- *)
@@ -53,10 +50,9 @@ type fingerprint = {
   fp_outcomes : Access.outcome list;
 }
 
-let run_once variant backend engine ~script ~mseed ~cores ~purge =
-  Backend.set_default_backend backend;
+let run_once variant ~script ~mseed ~cores ~purge =
   let sys = Machines.make_smp variant ~cores ~purge (Config.v ~seed:mseed ()) in
-  let r = Exec.run_packed ~engine geom script sys in
+  let r = Exec.run_packed geom script sys in
   let h = Option.get (Smp.last ()) in
   {
     fp_fields = Metrics.fields (System_ops.metrics sys);
@@ -77,8 +73,7 @@ let prop_determinism =
   QCheck2.Test.make ~count:4 ~print:print_case
     ~name:
       "identical (seed,cores,policy) => identical metrics and schedule \
-       hash; different seed => different hash [all machines x backends x \
-       engines]"
+       hash; different seed => different hash [all machines]"
     gen_case
     (fun (seed, cores, purge) ->
       with_globals (fun () ->
@@ -87,17 +82,13 @@ let prop_determinism =
           in
           List.for_all
             (fun (_, variant) ->
-              List.for_all
-                (fun backend ->
-                  let go = run_once variant backend ~script ~cores ~purge in
-                  let a = go Engine.Scalar ~mseed:seed in
-                  let b = go Engine.Scalar ~mseed:seed in
-                  let batch = go Engine.Batch ~mseed:seed in
-                  (* a different machine seed reorders the interleaving:
-                     same script, different core draws, different hash *)
-                  let other = go Engine.Scalar ~mseed:(seed + 1) in
-                  a = b && batch = a && other.fp_hash <> a.fp_hash)
-                [ Backend.Ref; Backend.Packed ])
+              let go = run_once variant ~script ~cores ~purge in
+              let a = go ~mseed:seed in
+              let b = go ~mseed:seed in
+              (* a different machine seed reorders the interleaving:
+                 same script, different core draws, different hash *)
+              let other = go ~mseed:(seed + 1) in
+              a = b && other.fp_hash <> a.fp_hash)
             variants))
 
 (* -- coherence invariants ----------------------------------------------- *)

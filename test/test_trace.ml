@@ -125,6 +125,47 @@ let test_player_offset_bounds () =
   | Error { at = 2; _ } -> ()
   | Ok _ | Error _ -> Alcotest.fail "offset out of segment must fail"
 
+(* Inputs the machines refuse with Invalid_argument must come back from
+   the player as a typed error naming the event, on every machine, never
+   as an escaping exception. *)
+let test_player_typed_refusals () =
+  let cases =
+    [
+      ("destroy the running domain", "domain\nswitch 0\ndestroy-domain 0\n", 2);
+      ("negative charge", "charge -5 0 0\n", 0);
+      ("negative page-ins", "charge 0 -1 0\n", 0);
+      ("zero-page segment", "segment 0 - -\n", 0);
+      ("align below the page size", "segment 1 3 -\n", 0);
+      ("align beyond the address space", "segment 1 70 -\n", 0);
+      ( "segment beyond the address space",
+        "segment 4611686018427387903 - -\n",
+        0 );
+    ]
+  in
+  List.iter
+    (fun (what, text, want_at) ->
+      let trace =
+        match Store.of_string text with
+        | Ok t -> t
+        | Error msg -> Alcotest.failf "%s: parse: %s" what msg
+      in
+      List.iter
+        (fun (name, v) ->
+          let sys = Machines.make v Config.default in
+          match Player.replay trace sys with
+          | Error { at; event; reason } ->
+              Alcotest.(check int) (what ^ " on " ^ name ^ ": at") want_at at;
+              Alcotest.(check bool)
+                (what ^ ": event") true
+                (Event.equal event (List.nth trace want_at));
+              Alcotest.(check bool) (what ^ ": reason") true (reason <> "")
+          | Ok _ -> Alcotest.failf "%s on %s: accepted" what name
+          | exception e ->
+              Alcotest.failf "%s on %s: raised %s" what name
+                (Printexc.to_string e))
+        Machines.all)
+    cases
+
 let test_charge_recorded_and_replayed () =
   (* a workload-level charge goes through the recorder into the trace, and
      a replay applies the identical amounts to the replayed machine *)
@@ -291,12 +332,83 @@ let prop_check_trace_roundtrip =
                   && List.for_all2 Access.outcome_equal replayed recorded)
                 Machines.all))
 
+(* property: the direct script executor and the trace player agree on
+   every access outcome of a conformance script, on every machine *)
+let prop_exec_matches_player =
+  QCheck2.Test.make ~count:30
+    ~name:"script executor = trace player on every machine"
+    ~print:(fun (seed, ops) -> Printf.sprintf "seed %d, %d ops" seed ops)
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 60))
+    (fun (seed, ops) ->
+      let geom = Sasos.Check.Op.default_geom in
+      let script =
+        Sasos.Check.Gen.script (Util.Prng.create ~seed) geom ~ops
+      in
+      let events = Sasos.Check.Op.to_events geom script in
+      List.for_all
+        (fun (_, v) ->
+          let direct =
+            (Sasos.Check.Exec.run geom script v).Sasos.Check.Exec.outcomes
+          in
+          let replayed =
+            Player.replay_exn events (Machines.make v Config.default)
+          in
+          List.length direct = List.length replayed
+          && List.for_all2 Access.outcome_equal direct replayed)
+        Machines.all)
+
+(* Workloads that charge external costs (DSM network fetches, checkpoint
+   disk writes) must cost the same when their recorded trace is replayed:
+   the charge rides the trace as a Charge event and the player re-applies
+   it on top of the same accesses. *)
+let test_charge_workloads_replay_identically () =
+  let workloads =
+    [
+      ( "dsm",
+        fun sys ->
+          ignore
+            (Sasos.Workloads.Dsm.run
+               ~params:
+                 { Sasos.Workloads.Dsm.default with refs = 2_000; pages = 32 }
+               sys) );
+      ( "checkpoint",
+        fun sys ->
+          ignore
+            (Sasos.Workloads.Checkpoint.run
+               ~params:
+                 {
+                   Sasos.Workloads.Checkpoint.default with
+                   data_pages = 32;
+                   checkpoints = 2;
+                   refs_between = 500;
+                   refs_during = 500;
+                 }
+               sys) );
+    ]
+  in
+  List.iter
+    (fun (name, workload) ->
+      let r, sys = recording () in
+      workload sys;
+      let live = System_ops.metrics sys in
+      let target = Machines.make Machines.Plb Config.default in
+      ignore (Player.replay_exn (Recorder.events r) target);
+      let replayed = System_ops.metrics target in
+      Alcotest.(check int) (name ^ ": cycles") live.Metrics.cycles
+        replayed.Metrics.cycles;
+      Alcotest.(check int) (name ^ ": page-ins") live.Metrics.page_ins
+        replayed.Metrics.page_ins;
+      Alcotest.(check int) (name ^ ": page-outs") live.Metrics.page_outs
+        replayed.Metrics.page_outs)
+    workloads
+
 let suite =
   [
     Alcotest.test_case "record/replay on all machines" `Quick
       test_record_and_replay_all_machines;
     Qprop.to_alcotest prop_record_replay_roundtrip;
     Qprop.to_alcotest prop_check_trace_roundtrip;
+    Qprop.to_alcotest prop_exec_matches_player;
     Alcotest.test_case "event line roundtrip" `Quick test_line_roundtrip;
     Alcotest.test_case "event parse errors" `Quick test_of_line_errors;
     Alcotest.test_case "store roundtrip" `Quick test_store_roundtrip;
@@ -304,10 +416,14 @@ let suite =
     Alcotest.test_case "player rejects bad trace" `Quick
       test_player_rejects_bad_trace;
     Alcotest.test_case "player offset bounds" `Quick test_player_offset_bounds;
+    Alcotest.test_case "player types machine refusals" `Quick
+      test_player_typed_refusals;
     Alcotest.test_case "recorder default create" `Quick
       test_recorder_default_create;
     Alcotest.test_case "charge recorded and replayed" `Quick
       test_charge_recorded_and_replayed;
+    Alcotest.test_case "charge workloads replay identically" `Quick
+      test_charge_workloads_replay_identically;
     Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "recorder metrics passthrough" `Quick
       test_recorder_metrics_passthrough;
