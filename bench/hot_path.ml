@@ -67,11 +67,11 @@ let run_loop rig n =
 let sink = ref 0
 let trials = 7
 
-(* Same pattern as bench/main.ml's obs_guardrail: minor_words delta over a
-   long run, amortizing the handful of one-time words to noise.
-   Gc.minor_words, not quick_stat: on OCaml 5.1 quick_stat's minor_words
-   only advances at minor collections, so a window shorter than one
-   minor-heap fill would read as zero no matter what the code does. *)
+(* Minor_words delta over a long run, amortizing the handful of one-time
+   words to noise. Gc.minor_words, not quick_stat: on OCaml 5.1
+   quick_stat's minor_words only advances at minor collections, so a
+   window shorter than one minor-heap fill would read as zero no matter
+   what the code does. *)
 let alloc_of f ~accesses =
   let w0 = Gc.minor_words () in
   sink := !sink + f ();

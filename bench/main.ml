@@ -246,22 +246,6 @@ let okamoto_test =
          ignore (System_ops.write sys data.Segment.base);
          Machines.Plb_machine.set_code_context t None))
 
-let smp_test =
-  let config = Config.v ~cpus:8 () in
-  let sys = Machines.make Machines.Plb config in
-  let d1 = System_ops.new_domain sys in
-  let d2 = System_ops.new_domain sys in
-  let seg = System_ops.new_segment sys ~pages:4 () in
-  System_ops.attach sys d1 seg Rights.rw;
-  System_ops.attach sys d2 seg Rights.rw;
-  System_ops.switch_domain sys d1;
-  let flip = ref false in
-  Test.make ~name:"smp/grant-with-shootdown"
-    (Staged.stage (fun () ->
-         flip := not !flip;
-         System_ops.grant sys d2 (Segment.page_va seg 0)
-           (if !flip then Rights.r else Rights.rw)))
-
 let dsm_update_small sys =
   ignore
     (Workloads.Dsm.run
@@ -292,7 +276,6 @@ let all_tests =
       crossover_test;
       dsm_protocol_test;
       okamoto_test;
-      smp_test;
       tag_overhead_test;
     ]
 
@@ -371,35 +354,6 @@ let run_report () =
       print_string (Obs.render_table s)
   | None -> ()
 
-(* Guardrail: the observability subsystem must cost nothing when disabled.
-   The no-op collector's entry points are plain closures over nothing, so
-   hammering them (plus the ambient lookup the machine factory performs)
-   must not allocate. A regression here would tax every unprofiled access
-   in every experiment, so fail the bench run outright. *)
-let obs_guardrail () =
-  let o = Obs.disabled in
-  (* warm up: populate the domain-local ambient slot once *)
-  ignore (Obs.enabled (Obs.ambient ()));
-  let iters = 100_000 in
-  (* Gc.minor_words, not quick_stat: on OCaml 5.1 quick_stat's
-     minor_words only advances at minor collections, so a short window
-     would read as zero no matter what the loop allocates. *)
-  let w0 = Gc.minor_words () in
-  for _ = 1 to iters do
-    Obs.phase_begin o "x";
-    Obs.phase_end o "x";
-    ignore (Obs.enabled (Obs.ambient ()))
-  done;
-  let dw = Gc.minor_words () -. w0 -. 2.0 in
-  let per_op = dw /. float_of_int iters in
-  Printf.printf "obs disabled-path guardrail: %.4f words/op (%d iterations)\n"
-    per_op iters;
-  if per_op > 0.01 then begin
-    print_endline
-      "FAIL: disabled observability path allocates on the hot path";
-    exit 1
-  end
-
 let () =
   print_endline
     "================================================================";
@@ -409,8 +363,6 @@ let () =
   print_endline
     "================================================================\n";
   run_report ();
-  print_newline ();
-  obs_guardrail ();
   print_endline
     "\n================================================================";
   print_endline " Part 2 - Bechamel micro-benchmarks (simulator wall-clock)";

@@ -151,10 +151,6 @@ let apply_smp (cores, purge, ipi_cost, ipi_budget) =
 
 (* configuration flags shared by the workload command *)
 let config_term =
-  let cpus =
-    Arg.(value & opt int 1 & info [ "cpus" ] ~docv:"N"
-           ~doc:"Simulated processors (shootdowns above 1).")
-  in
   let plb_entries =
     Arg.(value & opt int 64 & info [ "plb-entries" ] ~docv:"N")
   in
@@ -177,15 +173,15 @@ let config_term =
     Arg.(value & opt int 0 & info [ "pg-eager" ] ~docv:"N"
            ~doc:"Page-groups eagerly reloaded on a domain switch.")
   in
-  let build cpus plb_entries tlb_entries pg_entries l2_kb prot_shift eager =
+  let build plb_entries tlb_entries pg_entries l2_kb prot_shift eager =
     Sasos.Config.v
       ~geom:(Sasos.Geometry.v ~prot_shift ())
-      ~cpus ~plb_sets:1 ~plb_ways:plb_entries ~tlb_sets:1
+      ~plb_sets:1 ~plb_ways:plb_entries ~tlb_sets:1
       ~tlb_ways:tlb_entries ~pg_entries ~pg_eager_reload:eager
       ~l2_bytes:(l2_kb * 1024) ()
   in
   Term.(
-    const build $ cpus $ plb_entries $ tlb_entries $ pg_entries $ l2_kb
+    const build $ plb_entries $ tlb_entries $ pg_entries $ l2_kb
     $ prot_shift $ eager)
 
 let workload_cmd =

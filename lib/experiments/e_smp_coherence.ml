@@ -1,15 +1,15 @@
 (** Coherence traffic at N cores: the multicore shootdown layer (lib/smp)
     run over the Table 1 protection-change-heavy classes.
 
-    Where the legacy "smp" experiment charges an analytic IPI round per
-    shared-state mutation, this one executes the protocol: every machine
-    is lifted to N replicated cores under a deterministic interleaving
-    schedule, and each purge policy (eager / lazy / batched) pays its own
-    mix of shootdown rounds, per-target IPIs and stale-entry traps. The
-    crossover of interest: eager's IPI bill grows linearly with the
-    revocation rate and core count, batched amortizes it by the flush
-    budget, and lazy converts it into stale traps on the access path —
-    which policy wins depends on how revocation-heavy the class is. *)
+    The machine models are single-core; this experiment executes the
+    shootdown protocol over them: every machine is lifted to N replicated
+    cores under a deterministic interleaving schedule, and each purge
+    policy (eager / lazy / batched) pays its own mix of shootdown rounds,
+    per-target IPIs and stale-entry traps. The crossover of interest:
+    eager's IPI bill grows linearly with the revocation rate and core
+    count, batched amortizes it by the flush budget, and lazy converts it
+    into stale traps on the access path — which policy wins depends on
+    how revocation-heavy the class is. *)
 
 open Sasos_hw
 open Sasos_machine

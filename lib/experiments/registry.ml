@@ -18,7 +18,6 @@ let all =
     E_dsm_protocol.experiment;
     E_crossover.experiment;
     E_okamoto.experiment;
-    E_smp.experiment;
     E_smp_coherence.experiment;
     E_tag_overhead.experiment;
     E_scale.experiment;

@@ -16,7 +16,6 @@ type t = {
   key_reg_write : int;
   pg_sequential_penalty : int;
   table_op : int;
-  ipi : int;
   ipi_send : int;
   ipi_deliver : int;
   ipi_ack : int;
@@ -42,7 +41,6 @@ let default =
     key_reg_write = 1;
     pg_sequential_penalty = 0;
     table_op = 5;
-    ipi = 80;
     ipi_send = 30;
     ipi_deliver = 80;
     ipi_ack = 40;
@@ -61,9 +59,9 @@ let v ?(cache_hit = default.cache_hit) ?(cache_miss = default.cache_miss)
     ?(pd_id_write = default.pd_id_write)
     ?(key_reg_write = default.key_reg_write)
     ?(pg_sequential_penalty = default.pg_sequential_penalty)
-    ?(table_op = default.table_op) ?(ipi = default.ipi)
-    ?(ipi_send = default.ipi_send) ?(ipi_deliver = default.ipi_deliver)
-    ?(ipi_ack = default.ipi_ack) ?(stale_trap = default.stale_trap) () =
+    ?(table_op = default.table_op) ?(ipi_send = default.ipi_send)
+    ?(ipi_deliver = default.ipi_deliver) ?(ipi_ack = default.ipi_ack)
+    ?(stale_trap = default.stale_trap) () =
   {
     cache_hit;
     cache_miss;
@@ -82,7 +80,6 @@ let v ?(cache_hit = default.cache_hit) ?(cache_miss = default.cache_miss)
     key_reg_write;
     pg_sequential_penalty;
     table_op;
-    ipi;
     ipi_send;
     ipi_deliver;
     ipi_ack;

@@ -28,7 +28,6 @@ type t = {
       (** extra latency per access for the page-group model's serialized
           TLB-then-PID comparison (§4.2); 0 assumes the cycle absorbs it *)
   table_op : int;  (** touch one OS table entry inside the kernel *)
-  ipi : int;  (** interrupt one remote processor for a shootdown *)
   ipi_send : int;
       (** initiate one inter-processor shootdown round on the requesting
           core (build the request, write the doorbells) *)
@@ -63,7 +62,6 @@ val v :
   ?key_reg_write:int ->
   ?pg_sequential_penalty:int ->
   ?table_op:int ->
-  ?ipi:int ->
   ?ipi_send:int ->
   ?ipi_deliver:int ->
   ?ipi_ack:int ->

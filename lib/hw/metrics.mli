@@ -40,11 +40,10 @@ type t = {
   mutable cache_synonyms : int;
       (** gauge: physical lines resident under two tags (MAS VIVT hazard) *)
   mutable shootdowns : int;
-      (** inter-processor broadcasts for shared-structure mutations *)
+      (** inter-processor shootdown rounds (the smp layer; 0 on one core) *)
   mutable ipis : int;
       (** individual inter-processor interrupts delivered: one per remote
-          core per shootdown round (the smp layer; the legacy analytic
-          model counts rounds only, in {!shootdowns}) *)
+          core per shootdown round (the smp layer) *)
   mutable stale_hits : int;
       (** lazy-purge revalidation traps: a private-structure entry
           observed stale on use (version behind the revocation frontier) *)

@@ -46,16 +46,6 @@ let space_of t pd =
 let cache_space_of t pd =
   match t.variant with V_asid -> Pd.to_int pd | V_flush -> 0
 
-let charge_sweep t inspected removed =
-  let m = metrics t in
-  m.Metrics.entries_inspected <- m.Metrics.entries_inspected + inspected;
-  m.Metrics.entries_purged <- m.Metrics.entries_purged + removed;
-  (* every CPU sweeps its private copy of the structure *)
-  Os_core.charge t.os
-    ((cost t).Cost_model.purge_per_entry * inspected
-    * t.os.Os_core.config.Config.cpus);
-  if inspected > 0 then Machine_common.charge_shootdown t.os
-
 let switch_domain t pd =
   let m = metrics t in
   let c = cost t in
@@ -67,7 +57,8 @@ let switch_domain t pd =
       (* no ASIDs: purge translations, and flush the VIVT cache to kill
          homonyms (the i860 regime, §2.2) *)
       let dropped = Tlb.flush t.tlb in
-      charge_sweep t (Tlb.capacity t.tlb) dropped;
+      Machine_common.charge_sweep t.os ~inspected:(Tlb.capacity t.tlb)
+        ~removed:dropped;
       let flushed, _wb = Data_cache.flush_all t.cache in
       m.Metrics.cache_lines_flushed <- m.Metrics.cache_lines_flushed + flushed;
       Os_core.charge t.os (c.Cost_model.cache_line_flush * flushed));
@@ -83,7 +74,7 @@ let destroy_domain t pd =
   match t.variant with
   | V_asid ->
       let inspected, removed = Tlb.purge_space t.tlb (Pd.to_int pd) in
-      charge_sweep t inspected removed
+      Machine_common.charge_sweep t.os ~inspected ~removed
   | V_flush -> () (* its entries died at the last switch *)
 
 let attach t pd seg rights =
@@ -108,7 +99,8 @@ let attach t pd seg rights =
     for vpn = lo to hi do
       if Tlb.invalidate t.tlb ~space ~vpn then incr dropped
     done;
-    charge_sweep t (Tlb.capacity t.tlb) !dropped
+    Machine_common.charge_sweep t.os ~inspected:(Tlb.capacity t.tlb)
+      ~removed:!dropped
   end
 
 let detach t pd seg =
@@ -131,7 +123,8 @@ let detach t pd seg =
     for vpn = lo to hi do
       ignore (Tlb.invalidate t.tlb ~space ~vpn)
     done;
-    charge_sweep t (Tlb.capacity t.tlb) !dropped
+    Machine_common.charge_sweep t.os ~inspected:(Tlb.capacity t.tlb)
+      ~removed:!dropped
   end
 
 let grant t pd va rights =
@@ -141,7 +134,6 @@ let grant t pd va rights =
   Os_core.kernel_entry t.os;
   Os_core.set_override t.os pd va rights;
   Os_core.charge t.os c.Cost_model.table_op;
-  Machine_common.charge_shootdown t.os;
   (* update or drop the (space, page) TLB entries for the protection unit *)
   let g = geom t in
   let space = space_of t pd in
@@ -176,7 +168,8 @@ let protect_segment t pd seg rights =
            if sp = space && vpn >= lo && vpn <= hi then
              Tlb.with_rights e rights
            else e));
-    charge_sweep t (Tlb.capacity t.tlb) 0
+    Machine_common.charge_sweep t.os ~inspected:(Tlb.capacity t.tlb)
+      ~removed:0
   end
 
 let protect_all t va rights =
@@ -214,7 +207,8 @@ let protect_all t va rights =
                Tlb.with_rights e (Os_core.rights t.os (domain_of_space sp) va)
              else e)))
     (Va.vpns_of_ppn g (Os_core.prot_unit t.os va));
-  charge_sweep t (Tlb.capacity t.tlb) 0
+  Machine_common.charge_sweep t.os ~inspected:(Tlb.capacity t.tlb)
+    ~removed:0
 
 let flush_page_from_cache t vpn =
   let g = geom t in
@@ -237,7 +231,7 @@ let unmap_page t vpn =
   Machine_common.flush_l2_page t.os t.l2 vpn;
   (* replicated TLB entries: shootdown across all spaces (§3.1) *)
   let inspected, removed = Tlb.invalidate_vpn_all_spaces t.tlb vpn in
-  charge_sweep t inspected removed;
+  Machine_common.charge_sweep t.os ~inspected ~removed;
   Os_core.charge t.os (cost t).Cost_model.table_op;
   Os_core.unmap t.os ~vpn ~write_back:true
 

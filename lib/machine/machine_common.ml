@@ -11,9 +11,6 @@
 open Sasos_hw
 open Sasos_os
 
-(* One inter-processor broadcast: the kernel interrupts every other CPU so
-   its private lookup structures see the mutation (§4.1.3: unmapping "is
-   done with a small number of instructions on each processor"). *)
 (* Workload-level costs the machine does not model (SYSTEM.charge_external):
    identical on every machine, so the shared helper lives here. *)
 let charge_external (os : Os_core.t) ~cycles ~page_ins ~page_outs =
@@ -24,13 +21,13 @@ let charge_external (os : Os_core.t) ~cycles ~page_ins ~page_outs =
   m.Metrics.page_outs <- m.Metrics.page_outs + page_outs;
   Os_core.charge os cycles
 
-let charge_shootdown (os : Os_core.t) =
-  let cpus = os.Os_core.config.Config.cpus in
-  if cpus > 1 then begin
-    let m = os.Os_core.metrics in
-    m.Metrics.shootdowns <- m.Metrics.shootdowns + 1;
-    Os_core.charge os (os.Os_core.cost.Cost_model.ipi * (cpus - 1))
-  end
+(* A purge sweep over one private lookup structure: [inspected] slots
+   examined (each charged), [removed] of them dropped. *)
+let charge_sweep (os : Os_core.t) ~inspected ~removed =
+  let m = os.Os_core.metrics in
+  m.Metrics.entries_inspected <- m.Metrics.entries_inspected + inspected;
+  m.Metrics.entries_purged <- m.Metrics.entries_purged + removed;
+  Os_core.charge os (os.Os_core.cost.Cost_model.purge_per_entry * inspected)
 
 let l2_of_config ?probe (config : Config.t) =
   if config.Config.l2_bytes = 0 then None

@@ -1,6 +1,7 @@
 (** Pieces shared by the machine implementations: the optional unified
     second-level cache (§3.2.1's "TLB at the L2 controller" organization)
-    and multiprocessor shootdown accounting (§4.1.3). *)
+    and purge-sweep billing. Every machine here models one processor;
+    inter-processor shootdowns are the smp layer's ([Smp.Make]). *)
 
 open Sasos_hw
 open Sasos_os
@@ -12,10 +13,10 @@ val charge_external : Os_core.t -> cycles:int -> page_ins:int ->
     counters and charge the cycles. Raises [Invalid_argument] on a
     negative amount. *)
 
-val charge_shootdown : Os_core.t -> unit
-(** One inter-processor broadcast: when [Config.cpus > 1], count a
-    shootdown and charge one IPI round per remote CPU. No-op on a
-    uniprocessor. *)
+val charge_sweep : Os_core.t -> inspected:int -> removed:int -> unit
+(** One purge sweep over a lookup structure (PLB, TLB): count
+    [inspected] slots examined and [removed] entries dropped, and charge
+    [Cost_model.purge_per_entry] per inspected slot. *)
 
 val l2_of_config : ?probe:Probe.t -> Config.t -> Data_cache.t option
 (** A physically indexed, physically tagged unified L2 when

@@ -253,10 +253,8 @@ let regroup_page t ?priority vpn =
     if target_aid <> old_aid then m.Metrics.regroups <- m.Metrics.regroups + 1;
     (* Table 1: "determine the correct page-group for the pages locked by
        the current domain, and move this page to that page group" — group
-       determination plus the page-table move, then the TLB update, which
-       other CPUs' TLBs must also see *)
+       determination plus the page-table move, then the TLB update *)
     Os_core.charge t.os (2 * (cost t).Cost_model.table_op);
-    Machine_common.charge_shootdown t.os;
     refresh_tlb_entry t vpn
   end
 
@@ -346,22 +344,15 @@ let rebuild_home t (seg : Segment.t) =
          segment's home pages eagerly — a stale wider value would let the
          hardware over-allow. One sweep of the TLB. *)
       if not (Rights.equal old_union new_union) then begin
-        let m = metrics t in
         let lo = Segment.first_vpn seg in
         let hi = lo + seg.Segment.pages - 1 in
-        let touched =
-          Tlb.rewrite t.tlb (fun _sp vpn e ->
-              if vpn >= lo && vpn <= hi && not (Hashtbl.mem t.page_aid vpn)
-              then Tlb.with_rights e new_union
-              else e)
-        in
-        m.Metrics.entries_inspected <-
-          m.Metrics.entries_inspected + Tlb.capacity t.tlb;
-        Os_core.charge t.os
-          ((cost t).Cost_model.purge_per_entry * Tlb.capacity t.tlb
-          * t.os.Os_core.config.Config.cpus);
-        Machine_common.charge_shootdown t.os;
-        ignore touched
+        ignore
+          (Tlb.rewrite t.tlb (fun _sp vpn e ->
+               if vpn >= lo && vpn <= hi && not (Hashtbl.mem t.page_aid vpn)
+               then Tlb.with_rights e new_union
+               else e));
+        Machine_common.charge_sweep t.os ~inspected:(Tlb.capacity t.tlb)
+          ~removed:0
       end
 
 (* Destroying a domain scrubs its group memberships; pages keep their
@@ -515,7 +506,6 @@ let flush_page_from_cache t vpn =
 
 let unmap_page t vpn =
   Os_core.kernel_entry t.os;
-  Machine_common.charge_shootdown t.os;
   flush_page_from_cache t vpn;
   Machine_common.flush_l2_page t.os t.l2 vpn;
   ignore (Tlb.invalidate t.tlb ~space:0 ~vpn);

@@ -20,7 +20,7 @@ open Sasos_os
    When every key is bound to a live signature and a new one appears, the
    configured exhaustion policy decides ({!Sasos_os.Config.pk_policy}):
    [`Recycle] steals a round-robin victim key — purging the TLB entries
-   tagged with it on every CPU, shootdown-style — while [`Trap] leaves the
+   tagged with it, shootdown-style — while [`Trap] leaves the
    page on key 0, where each access traps and the kernel mediates it after
    consulting the truth. *)
 
@@ -111,23 +111,11 @@ let write_regs t k ~old_sig ~new_sig =
   if !writes > 0 then begin
     let m = metrics t in
     m.Metrics.key_reg_writes <- m.Metrics.key_reg_writes + !writes;
-    Os_core.charge t.os ((cost t).Cost_model.key_reg_write * !writes);
-    (* every CPU's register file must observe the new lanes *)
-    Machine_common.charge_shootdown t.os
+    Os_core.charge t.os ((cost t).Cost_model.key_reg_write * !writes)
   end
 
-let charge_sweep t inspected removed =
-  let m = metrics t in
-  m.Metrics.entries_inspected <- m.Metrics.entries_inspected + inspected;
-  m.Metrics.entries_purged <- m.Metrics.entries_purged + removed;
-  (* every CPU sweeps its private copy of the structure *)
-  Os_core.charge t.os
-    ((cost t).Cost_model.purge_per_entry * inspected
-    * t.os.Os_core.config.Config.cpus);
-  if inspected > 0 then Machine_common.charge_shootdown t.os
-
 (* Shootdown-style purge of every TLB entry tagged with [k]: the whole
-   structure is inspected on each CPU. *)
+   structure is inspected. *)
 let purge_key t k =
   let victims = ref [] in
   Tlb.iter
@@ -137,7 +125,8 @@ let purge_key t k =
   List.iter
     (fun vpn -> if Tlb.invalidate t.tlb ~space:0 ~vpn then incr dropped)
     !victims;
-  charge_sweep t (Tlb.capacity t.tlb) !dropped
+  Machine_common.charge_sweep t.os ~inspected:(Tlb.capacity t.tlb)
+    ~removed:!dropped
 
 (* Rebind unit [u] to [key] (or unbind on [None]), retagging — or dropping,
    when unbinding — its resident TLB entries so the hardware never checks
@@ -390,7 +379,7 @@ let unmap_page t vpn =
   flush_page_from_cache t vpn;
   Machine_common.flush_l2_page t.os t.l2 vpn;
   let inspected, removed = Tlb.invalidate_vpn_all_spaces t.tlb vpn in
-  charge_sweep t inspected removed;
+  Machine_common.charge_sweep t.os ~inspected ~removed;
   Os_core.charge t.os (cost t).Cost_model.table_op;
   Os_core.unmap t.os ~vpn ~write_back:true
 

@@ -66,16 +66,6 @@ let switch_domain t pd =
 let new_segment t ?name ?align_shift ~pages () =
   Segment_table.allocate t.os.Os_core.segments ?name ?align_shift ~pages ()
 
-let charge_sweep t inspected removed =
-  let m = metrics t in
-  m.Metrics.entries_inspected <- m.Metrics.entries_inspected + inspected;
-  m.Metrics.entries_purged <- m.Metrics.entries_purged + removed;
-  (* every CPU sweeps its private copy of the structure *)
-  Os_core.charge t.os
-    ((cost t).Cost_model.purge_per_entry * inspected
-    * t.os.Os_core.config.Config.cpus);
-  if inspected > 0 then Machine_common.charge_shootdown t.os
-
 (* --- Okamoto execution-point extension (§5 related work) ------------- *)
 (* Okamoto et al. extend the domain-page model: a page can be marked
    accessible to any thread currently executing code from a designated
@@ -130,7 +120,7 @@ let unguard_segment t ~data =
         Plb.purge_matching t.plb (fun epd base _ ->
             Pd.equal epd cpd && base >= lo && base < hi)
       in
-      charge_sweep t inspected removed
+      Machine_common.charge_sweep t.os ~inspected ~removed
 
 (* Destroying a domain sweeps its PLB entries — the same CAM sweep as a
    detach, over the whole structure. *)
@@ -138,7 +128,7 @@ let destroy_domain t pd =
   Os_core.kernel_entry t.os;
   Os_core.destroy_domain t.os pd;
   let inspected, removed = Plb.purge_matching t.plb (fun epd _ _ -> Pd.equal epd pd) in
-  charge_sweep t inspected removed
+  Machine_common.charge_sweep t.os ~inspected ~removed
 
 (* Attach manipulates no hardware: rights fault into the PLB page by page.
    The exception is a re-attach that reduces an existing attachment — a
@@ -161,7 +151,7 @@ let attach t pd seg rights =
       Plb.purge_matching t.plb (fun epd base _ ->
           Pd.equal epd pd && base >= lo && base < hi)
     in
-    charge_sweep t inspected removed
+    Machine_common.charge_sweep t.os ~inspected ~removed
   end
 
 (* Detach sweeps the PLB: inspect every entry, eliminate those for the
@@ -176,7 +166,7 @@ let detach t pd seg =
     Plb.purge_matching t.plb (fun epd base _ ->
         Pd.equal epd pd && base >= lo && base < hi)
   in
-  charge_sweep t inspected removed;
+  Machine_common.charge_sweep t.os ~inspected ~removed;
   Os_core.charge t.os (cost t).Cost_model.table_op
 
 (* Pick the coarsest configured protection page size consistent with the OS
@@ -224,8 +214,7 @@ let grant t pd va rights =
   (* a resident coarse entry can no longer represent the segment; replace
      whatever is resident for this (domain, page) with a fine entry. This
      is Table 1's "simply requires updating a PLB entry": one entry write,
-     not a miss-path refill. Other CPUs may cache the pair: broadcast. *)
-  Machine_common.charge_shootdown t.os;
+     not a miss-path refill. *)
   ignore (Plb.invalidate t.plb ~pd ~va);
   if not (Rights.equal rights Rights.none) then begin
     let fine = List.hd (Plb.shifts t.plb) in
@@ -253,7 +242,7 @@ let protect_segment t pd seg rights =
         if Pd.equal epd pd && base >= lo && base < hi then Some rights
         else Some r)
   in
-  charge_sweep t inspected 0
+  Machine_common.charge_sweep t.os ~inspected ~removed:0
 
 (* Change the page's rights for every attached domain: requires a full PLB
    sweep under the domain-page model (Table 1, checkpoint / GC rows). *)
@@ -286,7 +275,7 @@ let protect_all t va rights =
           Some (Os_core.rights t.os epd va)
         else Some r)
   in
-  charge_sweep t inspected 0;
+  Machine_common.charge_sweep t.os ~inspected ~removed:0;
   ignore updated;
   (* with several grains, coarse entries covering the page are stale (the
      update above rewrote only matching bases): drop them for all domains *)
@@ -309,7 +298,6 @@ let flush_page_from_cache t vpn =
    translation stops any access (§4.1.3). *)
 let unmap_page t vpn =
   Os_core.kernel_entry t.os;
-  Machine_common.charge_shootdown t.os;
   flush_page_from_cache t vpn;
   Machine_common.flush_l2_page t.os t.l2 vpn;
   ignore (Tlb.invalidate t.tlb ~space:0 ~vpn);

@@ -35,30 +35,30 @@ module Smp_pk = Smp.Make (Pk_machine)
 module Smp_conv_asid = Smp.Make (Conv_machine.Asid)
 module Smp_conv_flush = Smp.Make (Conv_machine.Flush)
 
-let make_smp variant ~cores ~purge ?ipi_budget ?ipi_cost config =
+let make_smp variant ~cores ~purge ?ipi_budget config =
   match variant with
   | Plb ->
       System_intf.Packed
         ((module Smp_plb : System_intf.SYSTEM with type t = Smp_plb.t),
-         Smp_plb.create_with ~cores ~purge ?ipi_budget ?ipi_cost config)
+         Smp_plb.create_with ~cores ~purge ?ipi_budget config)
   | Page_group ->
       System_intf.Packed
         ((module Smp_pg : System_intf.SYSTEM with type t = Smp_pg.t),
-         Smp_pg.create_with ~cores ~purge ?ipi_budget ?ipi_cost config)
+         Smp_pg.create_with ~cores ~purge ?ipi_budget config)
   | Pk ->
       System_intf.Packed
         ((module Smp_pk : System_intf.SYSTEM with type t = Smp_pk.t),
-         Smp_pk.create_with ~cores ~purge ?ipi_budget ?ipi_cost config)
+         Smp_pk.create_with ~cores ~purge ?ipi_budget config)
   | Conv_asid ->
       System_intf.Packed
         ((module Smp_conv_asid : System_intf.SYSTEM
             with type t = Smp_conv_asid.t),
-         Smp_conv_asid.create_with ~cores ~purge ?ipi_budget ?ipi_cost config)
+         Smp_conv_asid.create_with ~cores ~purge ?ipi_budget config)
   | Conv_flush ->
       System_intf.Packed
         ((module Smp_conv_flush : System_intf.SYSTEM
             with type t = Smp_conv_flush.t),
-         Smp_conv_flush.create_with ~cores ~purge ?ipi_budget ?ipi_cost config)
+         Smp_conv_flush.create_with ~cores ~purge ?ipi_budget config)
 
 let make_single variant config =
   match variant with

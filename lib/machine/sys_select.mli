@@ -28,7 +28,6 @@ val make_smp :
   cores:int ->
   purge:Sasos_smp.Smp.purge ->
   ?ipi_budget:int ->
-  ?ipi_cost:int ->
   Config.t ->
   System_intf.packed
 (** Instantiate smp-lifted with explicit parameters, ignoring the

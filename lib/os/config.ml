@@ -22,7 +22,6 @@ type t = {
   l2_line : int;
   l2_ways : int;
   frames : int;
-  cpus : int;
   pk_keys : int;
   pk_policy : [ `Recycle | `Trap ];
 }
@@ -49,7 +48,6 @@ let default =
     l2_line = 64;
     l2_ways = 4;
     frames = 64 * 1024;
-    cpus = 1;
     pk_keys = 8;
     pk_policy = `Recycle;
   }
@@ -65,8 +63,7 @@ let v ?(geom = default.geom) ?(cost = default.cost) ?(seed = default.seed)
     ?(cache_line = default.cache_line) ?(cache_ways = default.cache_ways)
     ?(l2_bytes = default.l2_bytes) ?(l2_line = default.l2_line)
     ?(l2_ways = default.l2_ways) ?(frames = default.frames)
-    ?(cpus = default.cpus) ?(pk_keys = default.pk_keys)
-    ?(pk_policy = default.pk_policy) () =
+    ?(pk_keys = default.pk_keys) ?(pk_policy = default.pk_policy) () =
   let plb_shifts =
     match plb_shifts with
     | Some s -> s
@@ -104,7 +101,6 @@ let v ?(geom = default.geom) ?(cost = default.cost) ?(seed = default.seed)
     l2_line;
     l2_ways;
     frames;
-    cpus;
     pk_keys;
     pk_policy;
   }

@@ -3,7 +3,11 @@
     Defaults follow the paper's fair-comparison ground rules (§4): the PLB
     and the page-group TLB are on-chip structures with the same number of
     entries; the page-group cache replaces the PA-RISC's four PID registers
-    with a small LRU cache. *)
+    with a small LRU cache.
+
+    A configuration describes one processor. Multicore runs wrap the
+    machine in [Smp.Make] (lib/smp), which replicates it per core and
+    is the only model of inter-processor shootdowns. *)
 
 open Sasos_addr
 open Sasos_hw
@@ -41,10 +45,6 @@ type t = {
   l2_line : int;
   l2_ways : int;
   frames : int;  (** physical memory size in frames *)
-  cpus : int;
-      (** processors; above 1, kernel mutations of shared hardware state
-          broadcast inter-processor shootdowns and sweeps run on every
-          CPU's private structures (§4.1.3) *)
   pk_keys : int;
       (** protection-keys machine: register-file width in keys, including
           the reserved always-deny key 0; default 8, x86 MPK would be 16 *)
@@ -79,7 +79,6 @@ val v :
   ?l2_line:int ->
   ?l2_ways:int ->
   ?frames:int ->
-  ?cpus:int ->
   ?pk_keys:int ->
   ?pk_policy:[ `Recycle | `Trap ] ->
   unit ->

@@ -153,8 +153,7 @@ module Make (S : System_intf.SYSTEM) = struct
   let name = S.name
   let model = S.model
 
-  let create_with ~cores:nc ~purge ?ipi_budget:bud ?ipi_cost
-      (config : Config.t) =
+  let create_with ~cores:nc ~purge ?ipi_budget:bud (config : Config.t) =
     if nc < 1 || nc > 64 then invalid_arg "Smp.create_with: want 1..64 cores";
     let bud =
       match bud with Some b -> b | None -> Atomic.get default_ipi_budget
@@ -167,13 +166,8 @@ module Make (S : System_intf.SYSTEM) = struct
     done;
     let cost = config.Config.cost in
     let deliver =
-      match ipi_cost with
-      | Some k ->
-          if k < 0 then invalid_arg "Smp.create_with: negative ipi_cost";
-          k
-      | None ->
-          let o = Atomic.get ipi_cost_override in
-          if o >= 0 then o else cost.Cost_model.ipi_deliver
+      let o = Atomic.get ipi_cost_override in
+      if o >= 0 then o else cost.Cost_model.ipi_deliver
     in
     let obs_on = Obs.enabled (Obs.ambient ()) in
     let obs =
@@ -229,7 +223,16 @@ module Make (S : System_intf.SYSTEM) = struct
             Array.fold_left (fun a p -> a + Flat_tab.length p) 0 t.pending);
         h_summaries =
           (fun () ->
-            if t.obs_on then Array.to_list (Array.map Obs.summarize t.obs)
+            (* Every core registered the one shared metrics record, so
+               each collector's machine total is the whole run's. A
+               core's own total is what its spans charged: its clock. *)
+            if t.obs_on then
+              Array.to_list
+                (Array.map
+                   (fun o ->
+                     let s = Obs.summarize o in
+                     { s with Obs.total_cycles = s.Obs.clock })
+                   t.obs)
             else []);
       };
     t

@@ -3,13 +3,15 @@
 
     The paper models a single CPU; on a multiprocessor every
     protection revocation becomes a TLB/PLB shootdown whose cost scales
-    with core count and purge policy (ROADMAP item 3). {!Make} lifts any
-    single-core machine model to [N] cores by full lockstep replication:
-    every truth-mutating operation is applied to all replicas (the IPI
-    handler running the same purge on each core), accesses execute only
-    on the core the deterministic interleaving scheduler picked, and all
-    replicas charge into one shared {!Sasos_hw.Metrics} record. Three
-    purge policies decide when remote cores learn of a revocation:
+    with core count and purge policy (§4.1.3). The machine models are
+    single-core, so this layer is the only one that counts shootdowns
+    and bills IPIs. {!Make} lifts any single-core machine model to [N]
+    cores by full lockstep replication: every truth-mutating operation
+    is applied to all replicas (the IPI handler running the same purge
+    on each core), accesses execute only on the core the deterministic
+    interleaving scheduler picked, and all replicas charge into one
+    shared {!Sasos_hw.Metrics} record. Three purge policies decide when
+    remote cores learn of a revocation:
 
     - {e eager}: a synchronous shootdown round per revocation —
       [ipi_send + (N-1) * ipi_deliver + ipi_ack] cycles, [N-1] IPIs;
@@ -81,7 +83,10 @@ type handle = {
       (** stale (domain, page) entries currently pending across cores *)
   h_summaries : unit -> Sasos_obs.Obs.summary list;
       (** per-core collector summaries (track = core id), [[]] when the
-          ambient collector was disabled at creation *)
+          ambient collector was disabled at creation. A core's
+          [total_cycles] is the cycles its own operations charged, so the
+          {!Sasos_obs.Obs.merge_tracks} total is the run's
+          [Metrics.cycles] *)
 }
 
 val last : unit -> handle option
@@ -95,7 +100,6 @@ module Make (S : Sasos_os.System_intf.SYSTEM) : sig
     cores:int ->
     purge:purge ->
     ?ipi_budget:int ->
-    ?ipi_cost:int ->
     Sasos_os.Config.t ->
     t
   (** Explicit-argument construction for experiments that vary the core

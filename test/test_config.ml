@@ -5,16 +5,14 @@ let test_defaults () =
   Alcotest.(check int) "tlb entries" 64 (c.Config.tlb_sets * c.Config.tlb_ways);
   Alcotest.(check int) "plb entries" 64 (c.Config.plb_sets * c.Config.plb_ways);
   Alcotest.(check int) "pg cache" 16 c.Config.pg_entries;
-  Alcotest.(check int) "uniprocessor" 1 c.Config.cpus;
   Alcotest.(check int) "no L2" 0 c.Config.l2_bytes;
   Alcotest.(check (list int)) "plb grain follows geometry" [ 12 ]
     c.Config.plb_shifts
 
 let test_overrides () =
   let geom = Geometry.v ~prot_shift:7 () in
-  let c = Config.v ~geom ~pg_entries:4 ~cpus:8 ~l2_bytes:65536 () in
+  let c = Config.v ~geom ~pg_entries:4 ~l2_bytes:65536 () in
   Alcotest.(check int) "pg entries" 4 c.Config.pg_entries;
-  Alcotest.(check int) "cpus" 8 c.Config.cpus;
   Alcotest.(check int) "l2" 65536 c.Config.l2_bytes;
   (* plb_shifts defaults from the supplied geometry's protection grain *)
   Alcotest.(check (list int)) "plb grain" [ 7 ] c.Config.plb_shifts

@@ -7,7 +7,7 @@ open Sasos
 open Sasos.Os
 
 let test_registry_runs () =
-  Alcotest.(check int) "twenty-two experiments" 22
+  Alcotest.(check int) "twenty-one experiments" 21
     (List.length Experiments.Registry.all);
   List.iter
     (fun e ->

@@ -483,6 +483,30 @@ let test_destroy_domain sys =
   Alcotest.check outcome "d2 still works" Access.Ok
     (System_ops.write sys (Segment.page_va seg 0))
 
+(* Every machine models one processor: revocations purge its own private
+   structures and never count a shootdown or bill an IPI (those are the
+   smp layer's, test_smp.ml). *)
+let test_single_core_revocations sys =
+  let d1, d2, seg = setup sys in
+  System_ops.attach sys d1 seg Rights.rw;
+  System_ops.attach sys d2 seg Rights.rw;
+  List.iter
+    (fun d ->
+      System_ops.switch_domain sys d;
+      for i = 0 to 7 do
+        ignore (System_ops.write sys (Segment.page_va seg i))
+      done)
+    [ d1; d2 ];
+  System_ops.protect_segment sys d1 seg Rights.r;
+  System_ops.detach sys d2 seg;
+  System_ops.unmap_page sys
+    (Va.vpn_of_va Geometry.default (Segment.page_va seg 5));
+  System_ops.destroy_segment sys seg;
+  let m = System_ops.metrics sys in
+  Alcotest.(check int) "no shootdown rounds" 0 m.Metrics.shootdowns;
+  Alcotest.(check int) "no IPIs" 0 m.Metrics.ipis;
+  Alcotest.(check int) "no stale-entry traps" 0 m.Metrics.stale_hits
+
 let test_destroy_running_domain_rejected sys =
   let d1, _, _ = setup sys in
   System_ops.switch_domain sys d1;
@@ -630,27 +654,6 @@ let test_conv_flush_grant_not_current () =
   Alcotest.check outcome "revocation holds after switch" Access.Protection_fault
     (System_ops.read sys (Segment.page_va seg 0))
 
-let test_smp_shootdowns () =
-  let run cpus =
-    let config = Config.v ~cpus () in
-    let sys = Machines.make Machines.Plb config in
-    let d1 = System_ops.new_domain sys in
-    let d2 = System_ops.new_domain sys in
-    let seg = System_ops.new_segment sys ~pages:4 () in
-    System_ops.attach sys d1 seg Rights.rw;
-    System_ops.attach sys d2 seg Rights.rw;
-    System_ops.switch_domain sys d1;
-    ignore (System_ops.write sys (Segment.page_va seg 0));
-    System_ops.grant sys d2 (Segment.page_va seg 0) Rights.none;
-    System_ops.unmap_page sys
-      (Va.vpn_of_va Geometry.default (Segment.page_va seg 0));
-    System_ops.metrics sys
-  in
-  let m1 = run 1 and m4 = run 4 in
-  Alcotest.(check int) "uniprocessor: no shootdowns" 0 m1.Metrics.shootdowns;
-  Alcotest.(check bool) "smp: shootdowns occur" true (m4.Metrics.shootdowns > 0);
-  Alcotest.(check bool) "smp costs more" true (m4.Metrics.cycles > m1.Metrics.cycles)
-
 let test_l2_disabled_by_default () =
   let sys = Machines.make Machines.Plb Config.default in
   let d = System_ops.new_domain sys in
@@ -678,6 +681,8 @@ let suite =
       test_destroy_running_domain_rejected
   @ for_all_machines "switch metrics" test_switch_metrics
   @ for_all_machines "access metrics" test_access_metrics
+  @ for_all_machines "single core: revocations bill no IPIs"
+      test_single_core_revocations
   @ [
       Alcotest.test_case "plb: switch = one register" `Quick
         test_plb_switch_is_one_register;
@@ -711,8 +716,6 @@ let suite =
         test_pg_private_lock_policy;
       Alcotest.test_case "conv-flush: grant to non-running domain" `Quick
         test_conv_flush_grant_not_current;
-      Alcotest.test_case "smp: shootdown accounting" `Quick
-        test_smp_shootdowns;
       Alcotest.test_case "okamoto: execution-point guards" `Quick
         test_okamoto_guard;
       Alcotest.test_case "okamoto: inert without guards" `Quick

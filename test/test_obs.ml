@@ -68,15 +68,16 @@ let test_disabled_no_alloc () =
   ignore (Obs.enabled (Obs.ambient ()));
   (* warm *)
   let iters = 100_000 in
-  let w0 = (Gc.quick_stat ()).Gc.minor_words in
+  (* Gc.minor_words, not quick_stat: on OCaml 5.1 quick_stat's
+     minor_words only advances at minor collections, so this window
+     would read as zero whatever the loop allocates *)
+  let w0 = Gc.minor_words () in
   for _ = 1 to iters do
     Obs.phase_begin o "x";
     Obs.phase_end o "x";
     ignore (Obs.enabled (Obs.ambient ()))
   done;
-  let per_op =
-    ((Gc.quick_stat ()).Gc.minor_words -. w0) /. float_of_int iters
-  in
+  let per_op = (Gc.minor_words () -. w0) /. float_of_int iters in
   if per_op > 0.01 then
     Alcotest.failf "disabled path allocates %.4f words/op" per_op
 
@@ -581,30 +582,50 @@ let test_tracked_chrome_and_json () =
    flow begin at the initiating core plus a flow end per remote core. *)
 let smp_core_summaries () =
   let o = Obs.create () in
-  Obs.with_ambient o (fun () ->
-      let sys =
-        Machines.make_smp Machines.Plb ~cores:4 ~purge:Smp.Eager
-          Config.default
-      in
-      let d1 = System_ops.new_domain sys in
-      let seg = System_ops.new_segment sys ~pages:4 () in
-      System_ops.switch_domain sys d1;
-      for _round = 1 to 3 do
-        System_ops.attach sys d1 seg Rights.rw;
-        for i = 0 to 15 do
-          ignore
-            (System_ops.access sys Access.Read
-               (Segment.page_va seg (i land 3)))
+  let cycles =
+    Obs.with_ambient o (fun () ->
+        let sys =
+          Machines.make_smp Machines.Plb ~cores:4 ~purge:Smp.Eager
+            Config.default
+        in
+        let d1 = System_ops.new_domain sys in
+        let seg = System_ops.new_segment sys ~pages:4 () in
+        System_ops.switch_domain sys d1;
+        for _round = 1 to 3 do
+          System_ops.attach sys d1 seg Rights.rw;
+          for i = 0 to 15 do
+            ignore
+              (System_ops.access sys Access.Read
+                 (Segment.page_va seg (i land 3)))
+          done;
+          (* revoking the attachment forces an eager shootdown round *)
+          System_ops.protect_segment sys d1 seg Rights.none
         done;
-        (* revoking the attachment forces an eager shootdown round *)
-        System_ops.protect_segment sys d1 seg Rights.none
-      done);
+        (System_ops.metrics sys).Metrics.cycles)
+  in
   match Smp.last () with
-  | Some h -> h.Smp.h_summaries ()
+  | Some h -> (h.Smp.h_summaries (), cycles)
   | None -> Alcotest.fail "no smp handle"
 
+let test_smp_core_totals () =
+  (* the cores share one metrics record: the merged total must count the
+     run once, not once per core *)
+  let per_core, cycles = smp_core_summaries () in
+  let merged = Obs.merge_tracks per_core in
+  Alcotest.(check int) "merged total = the run's cycles" cycles
+    merged.Obs.total_cycles;
+  Alcotest.(check int) "op rows sum to the total" cycles
+    (List.fold_left
+       (fun a (r : Obs.op_row) -> a + r.Obs.delta.Metrics.cycles)
+       0 merged.Obs.ops);
+  List.iter
+    (fun (s : Obs.summary) ->
+      Alcotest.(check bool) "a core's total is its share" true
+        (s.Obs.total_cycles < cycles))
+    per_core
+
 let test_smp_chrome_per_core () =
-  let per_core = smp_core_summaries () in
+  let per_core, _ = smp_core_summaries () in
   Alcotest.(check int) "one summary per core" 4 (List.length per_core);
   (* merge is input-order-invariant: any worker schedule (`--jobs`)
      hands the same set of tracks and must render the same bytes *)
@@ -715,5 +736,6 @@ let suite =
       test_tracked_chrome_and_json;
     Alcotest.test_case "smp per-core chrome tracks" `Quick
       test_smp_chrome_per_core;
+    Alcotest.test_case "smp per-core totals" `Quick test_smp_core_totals;
     Alcotest.test_case "injectable clock" `Quick test_injectable_clock;
   ]

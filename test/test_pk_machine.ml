@@ -3,10 +3,10 @@
    The agreement suite and `sasos check` already run the pk machine under
    the default configuration; this file drives the configurations the
    generic harness never reaches — a 2-key register file where every
-   second rights signature exhausts the allocator, both exhaustion
-   policies, and a multiprocessor — in QCheck lockstep against the pure
-   lib/check oracle, plus directed tests for the recycle/trap mechanics
-   and a ddmin-minimized exhaustion boundary repro. *)
+   second rights signature exhausts the allocator, under both exhaustion
+   policies — in QCheck lockstep against the pure lib/check oracle, plus
+   directed tests for the recycle/trap mechanics and a ddmin-minimized
+   exhaustion boundary repro. *)
 
 open Sasos
 open Sasos.Os
@@ -60,10 +60,6 @@ let prop_tiny_recycle =
 let prop_tiny_trap =
   lockstep ~name:"pk lockstep: 2 keys, trap policy"
     (Config.v ~pk_keys:2 ~pk_policy:`Trap ())
-
-let prop_smp =
-  lockstep ~name:"pk lockstep: 4 cpus (shootdown paths)"
-    (Config.v ~cpus:4 ())
 
 (* the same 2-key recycle lockstep, but with the script compiled to a
    portable trace and executed by the trace player — the path corpus
@@ -183,22 +179,6 @@ let test_recycle_purges_victim () =
   Alcotest.(check bool) "no over-allow" false
     (System_ops.hw_over_allows sys [ (d0, page_va seg 0) ])
 
-let test_recycle_shootdown_on_smp () =
-  let run cpus =
-    let t, sys, d0, seg =
-      setup_shared (Config.v ~cpus ~pk_keys:2 ~pk_policy:`Recycle ())
-    in
-    let m = Pk.metrics t in
-    let before = Metrics.copy m in
-    System_ops.grant sys d0 (page_va seg 0) Rights.r;
-    Metrics.diff m before
-  in
-  let d1 = run 1 and d4 = run 4 in
-  Alcotest.(check int) "uniprocessor recycle: no shootdowns" 0
-    d1.Metrics.shootdowns;
-  Alcotest.(check bool) "smp recycle: shootdowns occur" true
-    (d4.Metrics.shootdowns > 0)
-
 let test_trap_key_mediated () =
   (* under the trap policy, the page that lost the allocator race stays
      kernel-mediated: accesses succeed but each one enters the kernel *)
@@ -235,15 +215,12 @@ let suite =
     Qprop.to_alcotest prop_default;
     Qprop.to_alcotest prop_tiny_recycle;
     Qprop.to_alcotest prop_tiny_trap;
-    Qprop.to_alcotest prop_smp;
     Qprop.to_alcotest prop_tiny_recycle_player;
     Qprop.to_alcotest prop_trap_never_recycles;
     Alcotest.test_case "exhaustion boundary minimizes to <= 4 ops" `Quick
       test_exhaustion_boundary;
     Alcotest.test_case "recycle purges the victim key's entries" `Quick
       test_recycle_purges_victim;
-    Alcotest.test_case "recycle shootdown accounting on SMP" `Quick
-      test_recycle_shootdown_on_smp;
     Alcotest.test_case "trap policy: kernel-mediated access" `Quick
       test_trap_key_mediated;
     Alcotest.test_case "alike-protected pages share one key" `Quick

@@ -133,6 +133,30 @@ let test_eager_purges_on_ack () =
   Alcotest.(check bool) "hardware never over-allows" false
     (M.hw_over_allows t [ (d1, Segment.page_va seg 0) ])
 
+(* One synchronous round at N cores bills ipi_send + (N-1) * ipi_deliver
+   + ipi_ack on top of the purge work: two runs that differ only in the
+   IPI prices differ by exactly that, and lazy (no round) by nothing. *)
+let test_round_ipi_billing () =
+  let run ~purge cost =
+    let t = M.create_with ~cores:4 ~purge { Config.default with Config.cost } in
+    let d1 = M.new_domain t in
+    let seg = M.new_segment t ~pages:4 () in
+    M.attach t d1 seg Rights.rw;
+    M.switch_domain t d1;
+    for i = 0 to 31 do
+      ignore (M.access t Access.Read (Segment.page_va seg (i mod 4)))
+    done;
+    M.protect_segment t d1 seg Rights.none;
+    (M.metrics t).Metrics.cycles
+  in
+  let free = Hw.Cost_model.v ~ipi_send:0 ~ipi_deliver:0 ~ipi_ack:0 () in
+  let priced = Hw.Cost_model.v ~ipi_send:100 ~ipi_deliver:10 ~ipi_ack:1 () in
+  Alcotest.(check int) "eager round: send + 3 deliveries + ack"
+    (100 + (3 * 10) + 1)
+    (run ~purge:Smp.Eager priced - run ~purge:Smp.Eager free);
+  Alcotest.(check int) "lazy revocation bills no IPI cost" 0
+    (run ~purge:Smp.Lazy priced - run ~purge:Smp.Lazy free)
+
 let test_lazy_stale_traps () =
   let t, d1, seg = setup ~cores:2 ~purge:Smp.Lazy ~rights:Rights.rw () in
   let m = M.metrics t in
@@ -244,6 +268,8 @@ let suite =
     Qprop.to_alcotest prop_determinism;
     Alcotest.test_case "eager: ack leaves no stale entry" `Quick
       test_eager_purges_on_ack;
+    Alcotest.test_case "eager round bills send + (N-1) deliver + ack" `Quick
+      test_round_ipi_billing;
     Alcotest.test_case "lazy: stale hits trap, then drain" `Quick
       test_lazy_stale_traps;
     Alcotest.test_case "lazy: snapshot bounds stale grants" `Quick
