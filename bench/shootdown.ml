@@ -19,10 +19,11 @@
        minor-heap words per access — the scheduler draw, the migrate
        check and the staleness overlay all live on that path.
 
-   Also times the pure access phase at 1 core vs N cores (the
-   replication overhead is the point: same thread, N private structures
-   to keep coherent) and emits sasos-bench/2 rows discriminated by
-   "cores" and "policy" for the BENCH_*.json trend watchdog.
+   Also times the pure access phase at 1 core vs N cores (the multicore
+   overhead is the point: same thread, the scheduler draw and migration
+   plus N private structures to warm) and emits sasos-bench/2 rows
+   discriminated by "cores" and "policy" for the BENCH_*.json trend
+   watchdog.
 
      shootdown [--cores N] [--rounds N] [--touches N] [--iters N]
                [--json FILE] [--rev REV] [--min-ratio R] *)
@@ -129,7 +130,7 @@ let () =
     l_rounds l_ipis l_stale;
   let ratio = float_of_int e_ipis /. float_of_int (max 1 b_ipis) in
   Printf.printf "  eager/batched ipi ratio %.2fx\n" ratio;
-  (* pure-access throughput, 1 core vs N: replication overhead *)
+  (* pure-access throughput, 1 core vs N: multicore overhead *)
   let rig1 = make_rig ~cores:1 ~purge:Smp.Eager () in
   let rign = make_rig ~cores:!cores ~purge:Smp.Eager () in
   let rate1 = rate_of rig1 !iters in

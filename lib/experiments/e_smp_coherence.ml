@@ -2,9 +2,10 @@
     run over the Table 1 protection-change-heavy classes.
 
     The machine models are single-core; this experiment executes the
-    shootdown protocol over them: every machine is lifted to N replicated
-    cores under a deterministic interleaving schedule, and each purge
-    policy (eager / lazy / batched) pays its own mix of shootdown rounds,
+    shootdown protocol over them: every machine is lifted to N cores —
+    per-core hardware over one OS, each operation run once on the core a
+    deterministic interleaving schedule picks — and each purge policy
+    (eager / lazy / batched) pays its own mix of shootdown rounds,
     per-target IPIs and stale-entry traps. The crossover of interest:
     eager's IPI bill grows linearly with the revocation rate and core
     count, batched amortizes it by the flush budget, and lazy converts it
@@ -44,8 +45,8 @@ let run () =
   let buf = Buffer.create 8192 in
   Buffer.add_string buf
     "Cycles per access vs core count under the executed shootdown \
-     protocol (lib/smp):\nper-core private structures over shared OS \
-     tables, IPI cost model, purge policy\ndeciding when remote cores \
+     protocol (lib/smp):\nper-core hardware over one OS (each operation \
+     runs once), IPI cost model, purge\npolicy deciding when remote cores \
      learn of a revocation. Counters at 8 cores.\n\n";
   List.iter
     (fun (wname, workload) ->
@@ -105,7 +106,7 @@ let experiment =
     paper_ref = "§4.1.3 (multiprocessor remark)";
     description =
       "Table 1 classes (GC, DSM, TVM) on every machine lifted to \
-       1/2/4/8 replicated cores: shootdown rounds, per-target IPIs and \
+       1/2/4/8 cores over one OS: shootdown rounds, per-target IPIs and \
        stale-entry traps per purge policy (eager / lazy / batched) under \
        the deterministic interleaving scheduler.";
     run;

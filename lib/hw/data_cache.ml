@@ -189,20 +189,22 @@ let access t ~space ~va ~pa ~write =
   | 1 -> Miss { writeback = false }
   | _ -> Miss { writeback = true }
 
+(* Loops rather than [Array.iter]: a closure per row would allocate
+   thousands of words per full flush (every conv-flush domain switch). *)
 let sweep t p =
   let flushed = ref 0 and wb = ref 0 in
-  Array.iter
-    (fun row ->
-      Array.iter
-        (fun l ->
-          if l.valid && p l then begin
-            incr flushed;
-            if l.dirty then incr wb;
-            evict_line t l
-          end)
-        row)
-    t.table;
-  t.writebacks <- t.writebacks; (* writebacks already counted in evict_line *)
+  for r = 0 to Array.length t.table - 1 do
+    let row = Array.unsafe_get t.table r in
+    for w = 0 to Array.length row - 1 do
+      let l = Array.unsafe_get row w in
+      if l.valid && p l then begin
+        incr flushed;
+        if l.dirty then incr wb;
+        evict_line t l
+      end
+    done
+  done;
+  (* writebacks already counted in evict_line *)
   note_occupancy t;
   (!flushed, !wb)
 
@@ -234,16 +236,25 @@ let rec flush_range_in_row t row lo_line hi_line space w acc =
     flush_range_in_row t row lo_line hi_line space (w + 1) acc
   end
 
-let rec flush_range_in_sets t lo_line hi_line space s acc =
-  if s >= Array.length t.table then acc
+(* Flushes the range from sets [i land (nsets - 1)], for [i] up to
+   [last]. A virtually indexed line of the range can only sit in the set
+   its virtual line address indexes, so a range narrower than the cache
+   visits just those sets; otherwise every set. *)
+let rec flush_range_in_sets t lo_line hi_line space i last acc =
+  if i > last then acc
   else
-    flush_range_in_sets t lo_line hi_line space (s + 1)
-      (flush_range_in_row t (Array.unsafe_get t.table s) lo_line hi_line space
-         0 acc)
+    flush_range_in_sets t lo_line hi_line space (i + 1) last
+      (flush_range_in_row t
+         (Array.unsafe_get t.table (i land (t.nsets - 1)))
+         lo_line hi_line space 0 acc)
 
 let flush_va_range_count t ~space ~lo ~hi =
   let lo_line = lo lsr t.line_shift and hi_line = (hi - 1) lsr t.line_shift in
-  let flushed = flush_range_in_sets t lo_line hi_line space 0 0 in
+  let flushed =
+    if t.organization = Pipt || hi_line - lo_line + 1 >= t.nsets then
+      flush_range_in_sets t lo_line hi_line space 0 (t.nsets - 1) 0
+    else flush_range_in_sets t lo_line hi_line space lo_line hi_line 0
+  in
   note_occupancy t;
   flushed
 

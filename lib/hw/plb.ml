@@ -135,7 +135,8 @@ let invalidate t ~pd ~va =
 let purge_matching t p =
   let inspected, removed =
     Packed_cache.purge t.cache (fun pn k2 r ->
-        p (Pd.of_int (k2_pd k2)) (pn lsl k2_shift k2) (Rights.of_int r))
+        let shift = k2_shift k2 in
+        p (Pd.of_int (k2_pd k2)) (pn lsl shift) shift (Rights.of_int r))
   in
   Probe.note_purged t.probe Probe.Plb removed;
   note_occupancy t;

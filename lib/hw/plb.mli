@@ -54,10 +54,11 @@ val update_rights : t -> pd:Pd.t -> va:Va.t -> Rights.t -> bool
 val invalidate : t -> pd:Pd.t -> va:Va.t -> bool
 (** Drop resident entries for this (domain, address) at every grain. *)
 
-val purge_matching : t -> (Pd.t -> Va.t -> Rights.t -> bool) -> int * int
+val purge_matching :
+  t -> (Pd.t -> Va.t -> int -> Rights.t -> bool) -> int * int
 (** Full sweep (segment detach): the predicate receives the domain, the
-    base address of the entry's protection page and its rights. Returns
-    [(inspected, removed)]. *)
+    base address of the entry's protection page, its grain shift and its
+    rights. Returns [(inspected, removed)]. *)
 
 val update_matching :
   t -> (Pd.t -> Va.t -> Rights.t -> Rights.t option) -> int * int

@@ -95,16 +95,16 @@ let invalidate t ~space ~vpn =
   end;
   removed
 
-let purge_counted t p =
+let purge_matching t p =
   let inspected, removed = Packed_cache.purge t.cache p in
   Probe.note_purged t.probe Probe.Tlb removed;
   note_occupancy t;
   (inspected, removed)
 
 let invalidate_vpn_all_spaces t vpn =
-  purge_counted t (fun _space evpn _ -> evpn = vpn)
+  purge_matching t (fun _space evpn _ -> evpn = vpn)
 
-let purge_space t space = purge_counted t (fun espace _vpn _ -> espace = space)
+let purge_space t space = purge_matching t (fun espace _vpn _ -> espace = space)
 
 let flush t =
   let dropped = Packed_cache.clear t.cache in

@@ -84,6 +84,10 @@ val rewrite : t -> (int -> Va.vpn -> int -> int) -> int
 
 val invalidate : t -> space:int -> vpn:Va.vpn -> bool
 
+val purge_matching : t -> (int -> Va.vpn -> int -> bool) -> int * int
+(** Drop every resident entry whose [(space, vpn, entry)] satisfies the
+    predicate. Returns [(inspected, removed)]. *)
+
 val invalidate_vpn_all_spaces : t -> Va.vpn -> int * int
 (** Shootdown of every entry for a page regardless of space — needed on the
     MAS machine where a shared page is replicated per ASID. Returns

@@ -4,38 +4,21 @@ open Sasos_os
 
 type variant = V_asid | V_flush
 
+(* One core of the machine: [os] is the OS half, shared by every core
+   added over it; the rest is this core's hardware. *)
 type state = {
   os : Os_core.t;
   tlb : Tlb.t;
   cache : Data_cache.t;
   l2 : Data_cache.t option;
   variant : variant;
-  (* built once, reused on every page fault (see Plb_machine) *)
-  mutable evict_hook : int -> unit;
+  mutable current : Pd.t;
 }
-
-let make_create variant (config : Config.t) =
-  let os = Os_core.create config in
-  let probe = os.Os_core.probe in
-  {
-    os;
-    tlb =
-      Tlb.create ~policy:config.Config.policy ~seed:config.Config.seed ~probe
-        ~sets:config.Config.tlb_sets ~ways:config.Config.tlb_ways ();
-    cache =
-      Data_cache.create ~policy:config.Config.policy ~seed:config.Config.seed
-        ~probe ~org:config.Config.cache_org
-        ~size_bytes:config.Config.cache_bytes
-        ~line_bytes:config.Config.cache_line ~ways:config.Config.cache_ways ();
-    l2 = Machine_common.l2_of_config ~probe config;
-    variant;
-    evict_hook = ignore;
-  }
 
 let metrics t = t.os.Os_core.metrics
 let cost t = t.os.Os_core.cost
 let geom t = t.os.Os_core.geom
-let current_domain t = t.os.Os_core.current
+let current_domain t = t.current
 
 (* The TLB space tag: the domain's ASID, or 0 when the TLB is untagged and
    flushed on every switch. *)
@@ -62,13 +45,35 @@ let switch_domain t pd =
       let flushed, _wb = Data_cache.flush_all t.cache in
       m.Metrics.cache_lines_flushed <- m.Metrics.cache_lines_flushed + flushed;
       Os_core.charge t.os (c.Cost_model.cache_line_flush * flushed));
-  t.os.Os_core.current <- pd
+  t.current <- pd
 
 let new_segment t ?name ?align_shift ~pages () =
   Segment_table.allocate t.os.Os_core.segments ?name ?align_shift ~pages ()
 
+(* The shootdown sweep: this core's entries of the domain's space (every
+   space on [None]) for the pages of [lo, hi), unless the TLB is untagged
+   and the domain is not running here (its entries died at the last
+   switch). *)
+let purge t pd ~lo ~hi =
+  let here =
+    match pd with
+    | None -> true
+    | Some pd -> t.variant = V_asid || Pd.equal pd t.current
+  in
+  if here then begin
+    let g = geom t in
+    let first = Va.vpn_of_va g lo and last = Va.vpn_of_va g (hi - 1) in
+    let _, removed =
+      Tlb.purge_matching t.tlb (fun sp vpn _ ->
+          (match pd with None -> true | Some pd -> sp = space_of t pd)
+          && vpn >= first && vpn <= last)
+    in
+    Machine_common.charge_sweep t.os ~inspected:(Tlb.capacity t.tlb) ~removed
+  end
+
 (* Destroying a domain purges its address space's TLB entries. *)
 let destroy_domain t pd =
+  Machine_common.refuse_running ~current:t.current pd;
   Os_core.kernel_entry t.os;
   Os_core.destroy_domain t.os pd;
   match t.variant with
@@ -90,18 +95,8 @@ let attach t pd seg rights =
   (* duplicated per-space page-table state (§3.1): one table write per page *)
   Os_core.charge t.os ((cost t).Cost_model.table_op * seg.Segment.pages);
   (* a restricting re-attach must shoot down this space's resident entries *)
-  if restricting && (t.variant = V_asid || Pd.equal pd (current_domain t))
-  then begin
-    let lo = Segment.first_vpn seg in
-    let hi = lo + seg.Segment.pages - 1 in
-    let space = space_of t pd in
-    let dropped = ref 0 in
-    for vpn = lo to hi do
-      if Tlb.invalidate t.tlb ~space ~vpn then incr dropped
-    done;
-    Machine_common.charge_sweep t.os ~inspected:(Tlb.capacity t.tlb)
-      ~removed:!dropped
-  end
+  if restricting then
+    purge t (Some pd) ~lo:seg.Segment.base ~hi:(Segment.limit seg)
 
 let detach t pd seg =
   let m = metrics t in
@@ -109,23 +104,8 @@ let detach t pd seg =
   Os_core.kernel_entry t.os;
   Os_core.remove_attachment t.os pd seg;
   Os_core.charge t.os ((cost t).Cost_model.table_op * seg.Segment.pages);
-  (* shoot down this space's TLB entries for the segment: a sweep of the
-     structure, unless the TLB is untagged and the domain is not running
-     (its entries died at the last switch) *)
-  if t.variant = V_asid || Pd.equal pd (current_domain t) then begin
-    let lo = Segment.first_vpn seg in
-    let hi = lo + seg.Segment.pages - 1 in
-    let space = space_of t pd in
-    let dropped = ref 0 in
-    Tlb.iter
-      (fun sp vpn _ -> if sp = space && vpn >= lo && vpn <= hi then incr dropped)
-      t.tlb;
-    for vpn = lo to hi do
-      ignore (Tlb.invalidate t.tlb ~space ~vpn)
-    done;
-    Machine_common.charge_sweep t.os ~inspected:(Tlb.capacity t.tlb)
-      ~removed:!dropped
-  end
+  (* shoot down this space's TLB entries for the segment *)
+  purge t (Some pd) ~lo:seg.Segment.base ~hi:(Segment.limit seg)
 
 let grant t pd va rights =
   let m = metrics t in
@@ -210,24 +190,13 @@ let protect_all t va rights =
   Machine_common.charge_sweep t.os ~inspected:(Tlb.capacity t.tlb)
     ~removed:0
 
-let flush_page_from_cache t vpn =
-  let g = geom t in
-  let m = metrics t in
-  let lo = Va.va_of_vpn g vpn in
-  let hi = lo + Geometry.page_size g in
-  (* a space-tagged VIVT cache may hold the page once per space: flush the
-     virtual range in every space (physical flush covers all) *)
-  let flushed, _ =
-    match Os_core.pfn_of t.os ~vpn with
-    | Some pfn -> Data_cache.flush_pa_page t.cache ~pfn ~page_shift:g.Geometry.page_shift
-    | None -> Data_cache.flush_va_range t.cache ~space:0 ~lo ~hi
-  in
-  m.Metrics.cache_lines_flushed <- m.Metrics.cache_lines_flushed + flushed;
-  Os_core.charge t.os ((cost t).Cost_model.cache_line_flush * flushed)
+(* What an eviction or unmap drops on each core (see Plb_machine). *)
+let flush_page t vpn =
+  Machine_common.flush_l1_page t.os t.cache ~by_frame:true vpn;
+  ignore (Tlb.invalidate_vpn_all_spaces t.tlb vpn)
 
 let unmap_page t vpn =
   Os_core.kernel_entry t.os;
-  flush_page_from_cache t vpn;
   Machine_common.flush_l2_page t.os t.l2 vpn;
   (* replicated TLB entries: shootdown across all spaces (§3.1) *)
   let inspected, removed = Tlb.invalidate_vpn_all_spaces t.tlb vpn in
@@ -236,29 +205,28 @@ let unmap_page t vpn =
   Os_core.unmap t.os ~vpn ~write_back:true
 
 let destroy_segment t seg =
-  List.iter
-    (fun pd ->
-      if Option.is_some (Os_core.attachment t.os pd seg) then detach t pd seg)
-    (Os_core.domain_list t.os);
-  List.iter
-    (fun vpn ->
-      if Os_core.is_resident t.os ~vpn then unmap_page t vpn;
-      Sasos_mem.Backing_store.drop t.os.Os_core.disk ~vpn)
-    (Segment.vpns seg);
+  Machine_common.release_segment t.os seg ~detach:(fun pd -> detach t pd seg)
+    ~unmap_page:(unmap_page t);
   ignore (Segment_table.destroy t.os.Os_core.segments seg.Segment.id)
 
-let ensure_mapped t vpn =
-  (* resident fast path first: the fault handler is the slow path *)
-  let pfn = Os_core.pfn_int t.os ~vpn in
-  if pfn >= 0 then pfn
-  else begin
-    if t.evict_hook == ignore then
-      t.evict_hook <-
-        (fun victim ->
-          flush_page_from_cache t victim;
-          ignore (Tlb.invalidate_vpn_all_spaces t.tlb victim));
-    Os_core.ensure_mapped t.os ~vpn ~before_evict:t.evict_hook
-  end
+let core_over variant os ~probe =
+  let config = os.Os_core.config in
+  let t =
+    {
+      os;
+      tlb = Machine_common.tlb_of_config ~probe config;
+      cache = Machine_common.cache_of_config ~probe config;
+      l2 = Machine_common.l2_of_config ~probe config;
+      variant;
+      current = Pd.kernel;
+    }
+  in
+  Os_core.add_core os ~flush:(flush_page t);
+  t
+
+let make_create variant config =
+  let os = Os_core.create config in
+  core_over variant os ~probe:os.Os_core.probe
 
 let data_path t kind va e =
   let g = geom t in
@@ -331,7 +299,7 @@ let access t kind va =
         Access.Protection_fault
       end
       else begin
-        let pfn = ensure_mapped t vpn in
+        let pfn = Os_core.ensure_mapped t.os ~vpn in
         (* per-space linear tables: the walk costs more than the single
            shared table of a SASOS (§3.1) *)
         Os_core.charge t.os (2 * c.Cost_model.table_op);
@@ -382,6 +350,8 @@ module Common = struct
   let access = access
   let resident_prot_entries_for = resident_prot_entries_for
   let hw_over_allows = hw_over_allows
+  let add_core t ~probe = core_over t.variant t.os ~probe
+  let purge = purge
 end
 
 module Asid = struct

@@ -19,5 +19,5 @@
     these are detected and counted ({!Sasos_hw.Data_cache.synonyms_detected}
     via the [cache_org] experiment). *)
 
-module Asid : Sasos_os.System_intf.SYSTEM
-module Flush : Sasos_os.System_intf.SYSTEM
+module Asid : Sasos_os.System_intf.MACHINE
+module Flush : Sasos_os.System_intf.MACHINE

@@ -6,12 +6,21 @@ open Sasos_os
    no members, holding pages no domain may access. *)
 let limbo_aid = 1
 
+(* One core of the machine: [os] and [g] are the OS half, shared by every
+   core added over it; the rest is this core's hardware. *)
 type t = {
   os : Os_core.t;
+  g : groups;
   tlb : Tlb.t;
   pgc : Page_group_cache.t;
   cache : Data_cache.t;
   l2 : Data_cache.t option;
+  mutable current : Pd.t;
+}
+
+(* The OS's page-group tables. Membership changes reach the page-group
+   cache of every core running the domain, through [cores]. *)
+and groups = {
   group_members : (int, (int, bool) Hashtbl.t) Hashtbl.t;
       (* aid -> (pd -> write_disabled) *)
   domain_groups : (int, (int, bool) Hashtbl.t) Hashtbl.t;
@@ -22,40 +31,11 @@ type t = {
   page_aid : (Va.vpn, int) Hashtbl.t; (* pages moved out of their home *)
   page_rights : (Va.vpn, Rights.t) Hashtbl.t;
   mutable next_aid : int;
-  (* built once, reused on every page fault (see Plb_machine) *)
-  mutable evict_hook : int -> unit;
+  mutable cores : t list; (* in the order they were added *)
 }
 
 let name = "page-group"
 let model = System_intf.Page_group
-
-let create (config : Config.t) =
-  let os = Os_core.create config in
-  let probe = os.Os_core.probe in
-  {
-    os;
-    tlb =
-      Tlb.create ~policy:config.Config.policy ~seed:config.Config.seed ~probe
-        ~sets:config.Config.tlb_sets ~ways:config.Config.tlb_ways ();
-    pgc =
-      Page_group_cache.create ~policy:config.Config.policy
-        ~seed:config.Config.seed ~probe ~entries:config.Config.pg_entries ();
-    cache =
-      Data_cache.create ~policy:config.Config.policy ~seed:config.Config.seed
-        ~probe ~org:config.Config.cache_org
-        ~size_bytes:config.Config.cache_bytes
-        ~line_bytes:config.Config.cache_line ~ways:config.Config.cache_ways ();
-    l2 = Machine_common.l2_of_config ~probe config;
-    group_members = Hashtbl.create 256;
-    domain_groups = Hashtbl.create 64;
-    seg_group = Hashtbl.create 256;
-    seg_union = Hashtbl.create 256;
-    sig_groups = Hashtbl.create 256;
-    page_aid = Hashtbl.create 1024;
-    page_rights = Hashtbl.create 1024;
-    next_aid = limbo_aid + 1;
-    evict_hook = ignore;
-  }
 
 let os t = t.os
 let metrics t = t.os.Os_core.metrics
@@ -65,24 +45,28 @@ let charge_external t ~cycles ~page_ins ~page_outs =
 let cost t = t.os.Os_core.cost
 let geom t = t.os.Os_core.geom
 let new_domain t = Os_core.new_domain t.os
-let current_domain t = t.os.Os_core.current
+let current_domain t = t.current
+
+(* Apply [f] to the page-group cache of every core running [pd]. *)
+let on_running t pd f =
+  List.iter (fun c -> if Pd.to_int c.current = pd then f c.pgc) t.g.cores
 
 (* --- group bookkeeping ---------------------------------------------- *)
 
 let members_of t aid =
-  match Hashtbl.find_opt t.group_members aid with
+  match Hashtbl.find_opt t.g.group_members aid with
   | Some tbl -> tbl
   | None ->
       let tbl = Hashtbl.create 8 in
-      Hashtbl.replace t.group_members aid tbl;
+      Hashtbl.replace t.g.group_members aid tbl;
       tbl
 
 let groups_of t pd =
-  match Hashtbl.find_opt t.domain_groups pd with
+  match Hashtbl.find_opt t.g.domain_groups pd with
   | Some tbl -> tbl
   | None ->
       let tbl = Hashtbl.create 8 in
-      Hashtbl.replace t.domain_groups pd tbl;
+      Hashtbl.replace t.g.domain_groups pd tbl;
       tbl
 
 let add_member t aid pd wd =
@@ -91,21 +75,20 @@ let add_member t aid pd wd =
 
 let remove_member t aid pd =
   Hashtbl.remove (members_of t aid) pd;
-  (match Hashtbl.find_opt t.domain_groups pd with
+  (match Hashtbl.find_opt t.g.domain_groups pd with
   | Some tbl -> Hashtbl.remove tbl aid
   | None -> ());
-  (* never leave a stale fast-path entry for the running domain *)
-  if Pd.to_int (current_domain t) = pd then
-    ignore (Page_group_cache.drop t.pgc ~aid)
+  (* never leave a stale fast-path entry for a running domain *)
+  on_running t pd (fun pgc -> ignore (Page_group_cache.drop pgc ~aid))
 
 let domain_has_group t pd aid =
-  match Hashtbl.find_opt t.domain_groups pd with
+  match Hashtbl.find_opt t.g.domain_groups pd with
   | Some tbl -> Hashtbl.find_opt tbl aid
   | None -> None
 
 let fresh_aid t =
-  let aid = t.next_aid in
-  t.next_aid <- aid + 1;
+  let aid = t.g.next_aid in
+  t.g.next_aid <- aid + 1;
   aid
 
 (* Canonical signature of a member set: "pd:wd" pairs sorted by pd. Page
@@ -153,37 +136,43 @@ let encode ~priority doms =
 
 let find_or_create_sig_group t members =
   let s = signature members in
-  match Hashtbl.find_opt t.sig_groups s with
+  match Hashtbl.find_opt t.g.sig_groups s with
   | Some aid -> aid
   | None ->
       let aid = fresh_aid t in
-      Hashtbl.replace t.sig_groups s aid;
+      Hashtbl.replace t.g.sig_groups s aid;
       List.iter (fun (pd, wd) -> add_member t aid pd wd) members;
       aid
 
 (* Current group and Rights field of a page. *)
 let page_protection t vpn =
-  match Hashtbl.find_opt t.page_aid vpn with
-  | Some aid -> (aid, Option.value (Hashtbl.find_opt t.page_rights vpn) ~default:Rights.none)
+  match Hashtbl.find_opt t.g.page_aid vpn with
+  | Some aid -> (aid, Option.value (Hashtbl.find_opt t.g.page_rights vpn) ~default:Rights.none)
   | None -> begin
       let va = Va.va_of_vpn (geom t) vpn in
       match Segment_table.find_by_va t.os.Os_core.segments va with
       | None -> (limbo_aid, Rights.none)
       | Some seg -> begin
           let sid = Segment.id_to_int seg.Segment.id in
-          match Hashtbl.find_opt t.seg_group sid with
+          match Hashtbl.find_opt t.g.seg_group sid with
           | Some aid ->
-              (aid, Option.value (Hashtbl.find_opt t.seg_union sid) ~default:Rights.none)
+              (aid, Option.value (Hashtbl.find_opt t.g.seg_union sid) ~default:Rights.none)
           | None -> (limbo_aid, Rights.none)
         end
     end
 
+(* Rewrite the page's resident TLB entry, on every core, to its current
+   group and Rights field: a stale AID would let domains that later join
+   the old group reach the page. *)
 let refresh_tlb_entry t vpn =
-  if Tlb.peek t.tlb ~space:0 ~vpn <> Tlb.absent then begin
-    let aid, rights = page_protection t vpn in
-    ignore (Tlb.set_protection t.tlb ~space:0 ~vpn ~aid ~rights);
-    Os_core.charge t.os (cost t).Cost_model.table_op
-  end
+  let aid, rights = page_protection t vpn in
+  List.iter
+    (fun c ->
+      if Tlb.peek c.tlb ~space:0 ~vpn <> Tlb.absent then begin
+        ignore (Tlb.set_protection c.tlb ~space:0 ~vpn ~aid ~rights);
+        Os_core.charge t.os (cost t).Cost_model.table_op
+      end)
+    t.g.cores
 
 (* Move a page to the group encoding its current ground truth (Table 1's
    "move this page to that page group"). *)
@@ -216,12 +205,12 @@ let regroup_page t ?priority vpn =
         | None -> None
         | Some seg -> begin
             let sid = Segment.id_to_int seg.Segment.id in
-            match Hashtbl.find_opt t.seg_group sid with
+            match Hashtbl.find_opt t.g.seg_group sid with
             | Some aid
               when members_signature_of_table (members_of t aid)
                    = signature members
                    && Rights.equal
-                        (Option.value (Hashtbl.find_opt t.seg_union sid)
+                        (Option.value (Hashtbl.find_opt t.g.seg_union sid)
                            ~default:Rights.none)
                         base ->
                 Some aid
@@ -236,17 +225,17 @@ let regroup_page t ?priority vpn =
   let is_home =
     match Segment_table.find_by_va t.os.Os_core.segments va with
     | Some seg ->
-        Hashtbl.find_opt t.seg_group (Segment.id_to_int seg.Segment.id)
+        Hashtbl.find_opt t.g.seg_group (Segment.id_to_int seg.Segment.id)
         = Some target_aid
     | None -> false
   in
   if is_home then begin
-    Hashtbl.remove t.page_aid vpn;
-    Hashtbl.remove t.page_rights vpn
+    Hashtbl.remove t.g.page_aid vpn;
+    Hashtbl.remove t.g.page_rights vpn
   end
   else begin
-    Hashtbl.replace t.page_aid vpn target_aid;
-    Hashtbl.replace t.page_rights vpn target_rights
+    Hashtbl.replace t.g.page_aid vpn target_aid;
+    Hashtbl.replace t.g.page_rights vpn target_rights
   end;
   if target_aid <> old_aid || not (Rights.equal target_rights old_rights)
   then begin
@@ -272,12 +261,12 @@ let switch_domain t pd =
     m.Metrics.entries_inspected + Page_group_cache.capacity t.pgc;
   Os_core.charge t.os
     (c.Cost_model.purge_per_entry * Page_group_cache.capacity t.pgc);
-  t.os.Os_core.current <- pd;
+  t.current <- pd;
   (* optional eager reload of the new domain's groups (§4.1.4) *)
   let eager = t.os.Os_core.config.Config.pg_eager_reload in
   if eager > 0 then begin
     let loaded = ref 0 in
-    (match Hashtbl.find_opt t.domain_groups (Pd.to_int pd) with
+    (match Hashtbl.find_opt t.g.domain_groups (Pd.to_int pd) with
     | None -> ()
     | Some tbl ->
         Hashtbl.iter
@@ -298,15 +287,15 @@ let new_segment t ?name ?align_shift ~pages () =
     Segment_table.allocate t.os.Os_core.segments ?name ?align_shift ~pages ()
   in
   let aid = fresh_aid t in
-  Hashtbl.replace t.seg_group (Segment.id_to_int seg.Segment.id) aid;
-  Hashtbl.replace t.seg_union (Segment.id_to_int seg.Segment.id) Rights.none;
+  Hashtbl.replace t.g.seg_group (Segment.id_to_int seg.Segment.id) aid;
+  Hashtbl.replace t.g.seg_union (Segment.id_to_int seg.Segment.id) Rights.none;
   seg
 
 (* Recompute the home group's member set and page Rights field from the
    current attachments. *)
 let rebuild_home t (seg : Segment.t) =
   let sid = Segment.id_to_int seg.Segment.id in
-  match Hashtbl.find_opt t.seg_group sid with
+  match Hashtbl.find_opt t.g.seg_group sid with
   | None -> ()
   | Some aid ->
       let atts =
@@ -318,57 +307,67 @@ let rebuild_home t (seg : Segment.t) =
           (Os_core.domain_list t.os)
       in
       let old_union =
-        Option.value (Hashtbl.find_opt t.seg_union sid) ~default:Rights.none
+        Option.value (Hashtbl.find_opt t.g.seg_union sid) ~default:Rights.none
       in
       let old = members_of t aid in
       let old_pds = Hashtbl.fold (fun pd _ acc -> pd :: acc) old [] in
       List.iter (fun pd -> remove_member t aid pd) old_pds;
       let new_union =
         if atts = [] then begin
-          Hashtbl.replace t.seg_union sid Rights.none;
+          Hashtbl.replace t.g.seg_union sid Rights.none;
           Rights.none
         end
         else begin
           let members, base = encode ~priority:None atts in
           List.iter (fun (pd, wd) -> add_member t aid pd wd) members;
-          Hashtbl.replace t.seg_union sid base;
-          (* keep the running domain's fast path coherent with its new bit *)
-          let cur = Pd.to_int (current_domain t) in
-          (match List.assoc_opt cur members with
-          | Some wd -> ignore (Page_group_cache.set_write_disable t.pgc ~aid wd)
-          | None -> ignore (Page_group_cache.drop t.pgc ~aid));
+          Hashtbl.replace t.g.seg_union sid base;
+          (* keep each running domain's fast path coherent with its new
+             bit *)
+          List.iter
+            (fun c ->
+              match List.assoc_opt (Pd.to_int c.current) members with
+              | Some wd ->
+                  ignore (Page_group_cache.set_write_disable c.pgc ~aid wd)
+              | None -> ignore (Page_group_cache.drop c.pgc ~aid))
+            t.g.cores;
           base
         end
       in
       (* a changed Rights field must reach resident TLB entries of the
          segment's home pages eagerly — a stale wider value would let the
-         hardware over-allow. One sweep of the TLB. *)
+         hardware over-allow. One sweep of each core's TLB. *)
       if not (Rights.equal old_union new_union) then begin
         let lo = Segment.first_vpn seg in
         let hi = lo + seg.Segment.pages - 1 in
-        ignore
-          (Tlb.rewrite t.tlb (fun _sp vpn e ->
-               if vpn >= lo && vpn <= hi && not (Hashtbl.mem t.page_aid vpn)
-               then Tlb.with_rights e new_union
-               else e));
-        Machine_common.charge_sweep t.os ~inspected:(Tlb.capacity t.tlb)
-          ~removed:0
+        List.iter
+          (fun c ->
+            ignore
+              (Tlb.rewrite c.tlb (fun _sp vpn e ->
+                   if
+                     vpn >= lo && vpn <= hi
+                     && not (Hashtbl.mem t.g.page_aid vpn)
+                   then Tlb.with_rights e new_union
+                   else e));
+            Machine_common.charge_sweep t.os ~inspected:(Tlb.capacity c.tlb)
+              ~removed:0)
+          t.g.cores
       end
 
 (* Destroying a domain scrubs its group memberships; pages keep their
    groups (other members are unaffected, the dead domain simply no longer
    matches any PID). *)
 let destroy_domain t pd =
+  Machine_common.refuse_running ~current:t.current pd;
   Os_core.kernel_entry t.os;
   Os_core.destroy_domain t.os pd;
   let i = Pd.to_int pd in
-  (match Hashtbl.find_opt t.domain_groups i with
+  (match Hashtbl.find_opt t.g.domain_groups i with
   | Some tbl ->
       let aids = Hashtbl.fold (fun aid _ acc -> aid :: acc) tbl [] in
       List.iter (fun aid -> remove_member t aid i) aids;
       Os_core.charge t.os ((cost t).Cost_model.table_op * List.length aids)
   | None -> ());
-  Hashtbl.remove t.domain_groups i
+  Hashtbl.remove t.g.domain_groups i
 
 (* Pages moved out of the home group carry an encoding of the attachment
    rights at the time they were regrouped. A restriction of any attachment
@@ -376,7 +375,7 @@ let destroy_domain t pd =
    them from the truth. *)
 let regroup_override_pages t (seg : Segment.t) =
   List.iter
-    (fun vpn -> if Hashtbl.mem t.page_aid vpn then regroup_page t vpn)
+    (fun vpn -> if Hashtbl.mem t.g.page_aid vpn then regroup_page t vpn)
     (Segment.vpns seg)
 
 (* Attach: add the segment's page-group to the domain's set; one pg-cache
@@ -395,7 +394,7 @@ let attach t pd seg rights =
   rebuild_home t seg;
   if restricting then regroup_override_pages t seg;
   Os_core.charge t.os c.Cost_model.table_op;
-  (match Hashtbl.find_opt t.seg_group (Segment.id_to_int seg.Segment.id) with
+  (match Hashtbl.find_opt t.g.seg_group (Segment.id_to_int seg.Segment.id) with
   | Some aid when Pd.equal pd (current_domain t) -> begin
       match domain_has_group t (Pd.to_int pd) aid with
       | Some wd ->
@@ -416,10 +415,10 @@ let detach t pd seg =
   let override_units = Os_core.override_units_in_segment t.os pd seg in
   Os_core.remove_attachment t.os pd seg;
   rebuild_home t seg;
-  (match Hashtbl.find_opt t.seg_group (Segment.id_to_int seg.Segment.id) with
+  (match Hashtbl.find_opt t.g.seg_group (Segment.id_to_int seg.Segment.id) with
   | Some aid ->
-      if Pd.equal pd (current_domain t) then
-        ignore (Page_group_cache.drop t.pgc ~aid)
+      on_running t (Pd.to_int pd) (fun pgc ->
+          ignore (Page_group_cache.drop pgc ~aid))
   | None -> ());
   Os_core.charge t.os c.Cost_model.table_op;
   let g = geom t in
@@ -495,59 +494,78 @@ let protect_all t va rights =
 
 (* --- paging ---------------------------------------------------------- *)
 
-let flush_page_from_cache t vpn =
-  let g = geom t in
-  let m = metrics t in
-  let lo = Va.va_of_vpn g vpn in
-  let hi = lo + Geometry.page_size g in
-  let flushed = Data_cache.flush_va_range_count t.cache ~space:0 ~lo ~hi in
-  m.Metrics.cache_lines_flushed <- m.Metrics.cache_lines_flushed + flushed;
-  Os_core.charge t.os ((cost t).Cost_model.cache_line_flush * flushed)
+(* What an eviction or unmap drops on each core (see Plb_machine). *)
+let flush_page t vpn =
+  Machine_common.flush_l1_page t.os t.cache ~by_frame:false vpn;
+  ignore (Tlb.invalidate t.tlb ~space:0 ~vpn)
 
 let unmap_page t vpn =
   Os_core.kernel_entry t.os;
-  flush_page_from_cache t vpn;
   Machine_common.flush_l2_page t.os t.l2 vpn;
-  ignore (Tlb.invalidate t.tlb ~space:0 ~vpn);
   Os_core.charge t.os (cost t).Cost_model.table_op;
   Os_core.unmap t.os ~vpn ~write_back:true
 
+(* The shootdown handler has nothing to drop: group moves, membership
+   and Rights-field changes already reached every core's TLB and
+   page-group cache when the OS made them. *)
+let purge _ _ ~lo:_ ~hi:_ = ()
+
 let destroy_segment t seg =
-  List.iter
-    (fun pd ->
-      if Option.is_some (Os_core.attachment t.os pd seg) then detach t pd seg)
-    (Os_core.domain_list t.os);
+  Machine_common.release_segment t.os seg ~detach:(fun pd -> detach t pd seg)
+    ~unmap_page:(unmap_page t);
   List.iter
     (fun vpn ->
-      if Os_core.is_resident t.os ~vpn then unmap_page t vpn;
-      Hashtbl.remove t.page_aid vpn;
-      Hashtbl.remove t.page_rights vpn;
-      Sasos_mem.Backing_store.drop t.os.Os_core.disk ~vpn)
+      Hashtbl.remove t.g.page_aid vpn;
+      Hashtbl.remove t.g.page_rights vpn)
     (Segment.vpns seg);
   let sid = Segment.id_to_int seg.Segment.id in
-  (match Hashtbl.find_opt t.seg_group sid with
+  (match Hashtbl.find_opt t.g.seg_group sid with
   | Some aid ->
       let tbl = members_of t aid in
       let pds = Hashtbl.fold (fun pd _ acc -> pd :: acc) tbl [] in
       List.iter (fun pd -> remove_member t aid pd) pds;
-      Hashtbl.remove t.group_members aid
+      Hashtbl.remove t.g.group_members aid
   | None -> ());
-  Hashtbl.remove t.seg_group sid;
-  Hashtbl.remove t.seg_union sid;
+  Hashtbl.remove t.g.seg_group sid;
+  Hashtbl.remove t.g.seg_union sid;
   ignore (Segment_table.destroy t.os.Os_core.segments seg.Segment.id)
 
-let ensure_mapped t vpn =
-  (* resident fast path first: the fault handler is the slow path *)
-  let pfn = Os_core.pfn_int t.os ~vpn in
-  if pfn >= 0 then pfn
-  else begin
-    if t.evict_hook == ignore then
-      t.evict_hook <-
-        (fun victim ->
-          flush_page_from_cache t victim;
-          ignore (Tlb.invalidate t.tlb ~space:0 ~vpn:victim));
-    Os_core.ensure_mapped t.os ~vpn ~before_evict:t.evict_hook
-  end
+let core_over os g ~probe =
+  let config = os.Os_core.config in
+  let t =
+    {
+      os;
+      g;
+      tlb = Machine_common.tlb_of_config ~probe config;
+      pgc =
+        Page_group_cache.create ~policy:config.Config.policy
+          ~seed:config.Config.seed ~probe ~entries:config.Config.pg_entries ();
+      cache = Machine_common.cache_of_config ~probe config;
+      l2 = Machine_common.l2_of_config ~probe config;
+      current = Pd.kernel;
+    }
+  in
+  g.cores <- g.cores @ [ t ];
+  Os_core.add_core os ~flush:(flush_page t);
+  t
+
+let create config =
+  let os = Os_core.create config in
+  core_over os
+    {
+      group_members = Hashtbl.create 256;
+      domain_groups = Hashtbl.create 64;
+      seg_group = Hashtbl.create 256;
+      seg_union = Hashtbl.create 256;
+      sig_groups = Hashtbl.create 256;
+      page_aid = Hashtbl.create 1024;
+      page_rights = Hashtbl.create 1024;
+      next_aid = limbo_aid + 1;
+      cores = [];
+    }
+    ~probe:os.Os_core.probe
+
+let add_core t ~probe = core_over t.os t.g ~probe
 
 (* --- memory references ----------------------------------------------- *)
 
@@ -607,7 +625,7 @@ let access t kind va =
         Access.Protection_fault
       end
       else begin
-        let pfn = ensure_mapped t vpn in
+        let pfn = Os_core.ensure_mapped t.os ~vpn in
         let aid, rights = page_protection t vpn in
         Tlb.install t.tlb ~space:0 ~vpn
           (Tlb.pack ~pfn ~rights ~aid ~dirty:false ~referenced:false);
@@ -696,7 +714,7 @@ let resident_prot_entries_for t va =
   let vpn = Va.vpn_of_va (geom t) va in
   if Tlb.peek t.tlb ~space:0 ~vpn <> Tlb.absent then 1 else 0
 
-let group_count t = Hashtbl.length t.group_members
+let group_count t = Hashtbl.length t.g.group_members
 
 let aid_of_va t va = fst (page_protection t (Va.vpn_of_va (geom t) va))
 

@@ -20,7 +20,7 @@
       domains fault on it — the thrashing the paper predicts for shared
       read locks. *)
 
-include Sasos_os.System_intf.SYSTEM
+include Sasos_os.System_intf.MACHINE
 
 val group_count : t -> int
 (** Number of live page-groups the OS has created (home groups + override

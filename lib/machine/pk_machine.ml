@@ -33,42 +33,30 @@ type key_info = {
   mutable pages : int;  (* protection units currently bound to the key *)
 }
 
+(* One core of the machine: [os] and [k] are the OS half, shared by every
+   core added over it; the rest is this core's hardware. *)
 type t = {
   os : Os_core.t;
+  k : keyring;
   tlb : Tlb.t;
   cache : Data_cache.t;
   l2 : Data_cache.t option;
+  mutable current : Pd.t;
+}
+
+(* The OS's key bindings. [regs] holds every domain's key-rights register
+   image (a core's live register is its current domain's row), so a lane
+   write reaches every core at once; a rebinding retags every core's TLB. *)
+and keyring = {
   regs : Key_regs.t;
   keys : key_info array;  (* slot 0 is the trap key, never bound *)
   unit_key : (int, int) Hashtbl.t;  (* protection unit -> key *)
   mutable victim : int;  (* round-robin recycle pointer *)
-  (* built once, reused on every page fault (see Plb_machine) *)
-  mutable evict_hook : int -> unit;
+  mutable cores : t list;  (* in the order they were added *)
 }
 
 let name = "pk"
 let model = System_intf.Protection_keys
-
-let create (config : Config.t) =
-  let os = Os_core.create config in
-  let probe = os.Os_core.probe in
-  {
-    os;
-    tlb =
-      Tlb.create ~policy:config.Config.policy ~seed:config.Config.seed ~probe
-        ~sets:config.Config.tlb_sets ~ways:config.Config.tlb_ways ();
-    cache =
-      Data_cache.create ~policy:config.Config.policy ~seed:config.Config.seed
-        ~probe ~org:config.Config.cache_org
-        ~size_bytes:config.Config.cache_bytes
-        ~line_bytes:config.Config.cache_line ~ways:config.Config.cache_ways ();
-    l2 = Machine_common.l2_of_config ~probe config;
-    regs = Key_regs.create ~keys:config.Config.pk_keys;
-    keys = Array.init config.Config.pk_keys (fun _ -> { signature = []; pages = 0 });
-    unit_key = Hashtbl.create 64;
-    victim = 0;
-    evict_hook = ignore;
-  }
 
 let os t = t.os
 let metrics t = t.os.Os_core.metrics
@@ -77,7 +65,7 @@ let charge_external t ~cycles ~page_ins ~page_outs =
   Machine_common.charge_external t.os ~cycles ~page_ins ~page_outs
 let cost t = t.os.Os_core.cost
 let geom t = t.os.Os_core.geom
-let current_domain t = t.os.Os_core.current
+let current_domain t = t.current
 let new_domain t = Os_core.new_domain t.os
 let policy t = t.os.Os_core.config.Config.pk_policy
 
@@ -96,7 +84,7 @@ let write_regs t k ~old_sig ~new_sig =
   List.iter
     (fun (pd, _) ->
       if not (List.mem_assoc pd new_sig) then begin
-        Key_regs.set t.regs ~pd ~key:k Rights.none;
+        Key_regs.set t.k.regs ~pd ~key:k Rights.none;
         incr writes
       end)
     old_sig;
@@ -105,7 +93,7 @@ let write_regs t k ~old_sig ~new_sig =
       match List.assoc_opt pd old_sig with
       | Some r' when r' = r -> ()
       | _ ->
-          Key_regs.set t.regs ~pd ~key:k (Rights.of_int r);
+          Key_regs.set t.k.regs ~pd ~key:k (Rights.of_int r);
           incr writes)
     new_sig;
   if !writes > 0 then begin
@@ -114,91 +102,92 @@ let write_regs t k ~old_sig ~new_sig =
     Os_core.charge t.os ((cost t).Cost_model.key_reg_write * !writes)
   end
 
-(* Shootdown-style purge of every TLB entry tagged with [k]: the whole
-   structure is inspected. *)
+(* Shootdown-style purge of every TLB entry tagged with [k], on every
+   core: each whole structure is inspected. *)
 let purge_key t k =
-  let victims = ref [] in
-  Tlb.iter
-    (fun _sp vpn e -> if Tlb.aid_of e = k then victims := vpn :: !victims)
-    t.tlb;
-  let dropped = ref 0 in
   List.iter
-    (fun vpn -> if Tlb.invalidate t.tlb ~space:0 ~vpn then incr dropped)
-    !victims;
-  Machine_common.charge_sweep t.os ~inspected:(Tlb.capacity t.tlb)
-    ~removed:!dropped
+    (fun c ->
+      let _, removed =
+        Tlb.purge_matching c.tlb (fun _ _ e -> Tlb.aid_of e = k)
+      in
+      Machine_common.charge_sweep t.os ~inspected:(Tlb.capacity c.tlb)
+        ~removed)
+    t.k.cores
 
 (* Rebind unit [u] to [key] (or unbind on [None]), retagging — or dropping,
-   when unbinding — its resident TLB entries so the hardware never checks
-   an access through a stale key. *)
+   when unbinding — its resident TLB entries on every core so the hardware
+   never checks an access through a stale key. *)
 let set_unit_key t u key =
-  let old = Hashtbl.find_opt t.unit_key u in
+  let old = Hashtbl.find_opt t.k.unit_key u in
   if old <> key then begin
     (match old with
-    | Some k -> t.keys.(k).pages <- t.keys.(k).pages - 1
+    | Some k -> t.k.keys.(k).pages <- t.k.keys.(k).pages - 1
     | None -> ());
     (match key with
     | Some k ->
-        Hashtbl.replace t.unit_key u k;
-        t.keys.(k).pages <- t.keys.(k).pages + 1
-    | None -> Hashtbl.remove t.unit_key u);
+        Hashtbl.replace t.k.unit_key u k;
+        t.k.keys.(k).pages <- t.k.keys.(k).pages + 1
+    | None -> Hashtbl.remove t.k.unit_key u);
     let c = cost t in
     List.iter
-      (fun vpn ->
-        if Tlb.peek t.tlb ~space:0 ~vpn <> Tlb.absent then begin
-          (match key with
-          | Some k ->
-              ignore
-                (Tlb.set_protection t.tlb ~space:0 ~vpn ~aid:k
-                   ~rights:Rights.rwx)
-          | None -> ignore (Tlb.invalidate t.tlb ~space:0 ~vpn));
-          Os_core.charge t.os c.Cost_model.table_op
-        end)
-      (Va.vpns_of_ppn (geom t) u)
+      (fun core ->
+        List.iter
+          (fun vpn ->
+            if Tlb.peek core.tlb ~space:0 ~vpn <> Tlb.absent then begin
+              (match key with
+              | Some k ->
+                  ignore
+                    (Tlb.set_protection core.tlb ~space:0 ~vpn ~aid:k
+                       ~rights:Rights.rwx)
+              | None -> ignore (Tlb.invalidate core.tlb ~space:0 ~vpn));
+              Os_core.charge t.os c.Cost_model.table_op
+            end)
+          (Va.vpns_of_ppn (geom t) u))
+      t.k.cores
   end
 
 (* A key whose register lanes encode [sgn]: an allocated key already
    carrying the signature, else a free key (bound and written), else —
    on exhaustion — a recycled victim or the trap key, per policy. *)
 let find_key_for t sgn =
-  let n = Array.length t.keys in
+  let n = Array.length t.k.keys in
   let matching = ref 0 in
   for i = n - 1 downto 1 do
-    if t.keys.(i).pages > 0 && t.keys.(i).signature = sgn then matching := i
+    if t.k.keys.(i).pages > 0 && t.k.keys.(i).signature = sgn then matching := i
   done;
   if !matching <> 0 then !matching
   else begin
     let free = ref 0 in
     for i = n - 1 downto 1 do
-      if t.keys.(i).pages = 0 then free := i
+      if t.k.keys.(i).pages = 0 then free := i
     done;
     if !free <> 0 then begin
       let k = !free in
       let m = metrics t in
       m.Metrics.key_allocs <- m.Metrics.key_allocs + 1;
       Os_core.charge t.os (cost t).Cost_model.table_op;
-      write_regs t k ~old_sig:t.keys.(k).signature ~new_sig:sgn;
-      t.keys.(k).signature <- sgn;
+      write_regs t k ~old_sig:t.k.keys.(k).signature ~new_sig:sgn;
+      t.k.keys.(k).signature <- sgn;
       k
     end
     else
       match policy t with
       | `Trap -> trap_key
       | `Recycle ->
-          t.victim <- (if t.victim + 1 >= n then 1 else t.victim + 1);
-          let k = t.victim in
+          t.k.victim <- (if t.k.victim + 1 >= n then 1 else t.k.victim + 1);
+          let k = t.k.victim in
           let m = metrics t in
           m.Metrics.key_recycles <- m.Metrics.key_recycles + 1;
           purge_key t k;
           (* the stolen key's pages re-fault and re-key on next touch *)
           Hashtbl.fold
             (fun u' kk acc -> if kk = k then u' :: acc else acc)
-            t.unit_key []
-          |> List.iter (Hashtbl.remove t.unit_key);
-          t.keys.(k).pages <- 0;
+            t.k.unit_key []
+          |> List.iter (Hashtbl.remove t.k.unit_key);
+          t.k.keys.(k).pages <- 0;
           Os_core.charge t.os (cost t).Cost_model.table_op;
-          write_regs t k ~old_sig:t.keys.(k).signature ~new_sig:sgn;
-          t.keys.(k).signature <- sgn;
+          write_regs t k ~old_sig:t.k.keys.(k).signature ~new_sig:sgn;
+          t.k.keys.(k).signature <- sgn;
           k
   end
 
@@ -211,13 +200,13 @@ let ensure_key t u =
     trap_key
   end
   else
-    match Hashtbl.find_opt t.unit_key u with
-    | Some k when t.keys.(k).signature = sgn -> k
-    | Some k when t.keys.(k).pages = 1 ->
+    match Hashtbl.find_opt t.k.unit_key u with
+    | Some k when t.k.keys.(k).signature = sgn -> k
+    | Some k when t.k.keys.(k).pages = 1 ->
         (* sole tenant: re-key in place — the MPK cheap path, register
            writes only, resident TLB entries untouched *)
-        write_regs t k ~old_sig:t.keys.(k).signature ~new_sig:sgn;
-        t.keys.(k).signature <- sgn;
+        write_regs t k ~old_sig:t.k.keys.(k).signature ~new_sig:sgn;
+        t.k.keys.(k).signature <- sgn;
         k
     | _ ->
         let k = find_key_for t sgn in
@@ -233,7 +222,7 @@ let ensure_key t u =
 (* Re-derive a bound unit's key from the truth after a protection change.
    Never-touched units stay unbound: they have no hardware state to fix. *)
 let resign_unit t u =
-  if Hashtbl.mem t.unit_key u then begin
+  if Hashtbl.mem t.k.unit_key u then begin
     let sgn = signature_of t u in
     if sgn = [] then set_unit_key t u None else ignore (ensure_key t u)
   end
@@ -247,7 +236,7 @@ let resign_units t units =
   let by_key = Hashtbl.create 8 in
   List.iter
     (fun u ->
-      match Hashtbl.find_opt t.unit_key u with
+      match Hashtbl.find_opt t.k.unit_key u with
       | Some k ->
           Hashtbl.replace by_key k
             (u :: Option.value (Hashtbl.find_opt by_key k) ~default:[])
@@ -257,12 +246,12 @@ let resign_units t units =
   Hashtbl.fold (fun k us acc -> (k, us) :: acc) by_key []
   |> List.sort compare
   |> List.iter (fun (k, us) ->
-         if List.length us = t.keys.(k).pages then
+         if List.length us = t.k.keys.(k).pages then
            match List.map (signature_of t) us with
            | s :: rest when s <> [] && List.for_all (( = ) s) rest ->
-               if t.keys.(k).signature <> s then begin
-                 write_regs t k ~old_sig:t.keys.(k).signature ~new_sig:s;
-                 t.keys.(k).signature <- s
+               if t.k.keys.(k).signature <> s then begin
+                 write_regs t k ~old_sig:t.k.keys.(k).signature ~new_sig:s;
+                 t.k.keys.(k).signature <- s
                end;
                List.iter (fun u -> Hashtbl.replace handled u ()) us
            | _ -> ());
@@ -282,12 +271,13 @@ let switch_domain t pd =
   m.Metrics.domain_switches <- m.Metrics.domain_switches + 1;
   m.Metrics.key_reg_writes <- m.Metrics.key_reg_writes + 1;
   Os_core.charge t.os (c.Cost_model.domain_switch + c.Cost_model.key_reg_write);
-  t.os.Os_core.current <- pd
+  t.current <- pd
 
 let new_segment t ?name ?align_shift ~pages () =
   Segment_table.allocate t.os.Os_core.segments ?name ?align_shift ~pages ()
 
 let destroy_domain t pd =
+  Machine_common.refuse_running ~current:t.current pd;
   Os_core.kernel_entry t.os;
   Os_core.destroy_domain t.os pd;
   Os_core.charge t.os (cost t).Cost_model.table_op;
@@ -295,12 +285,12 @@ let destroy_domain t pd =
   let affected =
     Hashtbl.fold
       (fun u k acc ->
-        if List.mem_assoc (Pd.to_int pd) t.keys.(k).signature then u :: acc
+        if List.mem_assoc (Pd.to_int pd) t.k.keys.(k).signature then u :: acc
         else acc)
-      t.unit_key []
+      t.k.unit_key []
   in
   resign_units t affected;
-  Key_regs.drop_domain t.regs ~pd:(Pd.to_int pd)
+  Key_regs.drop_domain t.k.regs ~pd:(Pd.to_int pd)
 
 let attach t pd seg rights =
   let m = metrics t in
@@ -360,23 +350,18 @@ let protect_all t va rights =
   Os_core.charge t.os (c.Cost_model.table_op * List.length domains);
   resign_units t [ Os_core.prot_unit t.os va ]
 
-let flush_page_from_cache t vpn =
-  let g = geom t in
-  let m = metrics t in
-  let lo = Va.va_of_vpn g vpn in
-  let hi = lo + Geometry.page_size g in
-  let flushed, _ =
-    match Os_core.pfn_of t.os ~vpn with
-    | Some pfn ->
-        Data_cache.flush_pa_page t.cache ~pfn ~page_shift:g.Geometry.page_shift
-    | None -> Data_cache.flush_va_range t.cache ~space:0 ~lo ~hi
-  in
-  m.Metrics.cache_lines_flushed <- m.Metrics.cache_lines_flushed + flushed;
-  Os_core.charge t.os ((cost t).Cost_model.cache_line_flush * flushed)
+(* The shootdown handler has nothing to drop: rights live in the shared
+   register images, and rebinding a unit or recycling a key already
+   retagged or purged every core's TLB entries. *)
+let purge _ _ ~lo:_ ~hi:_ = ()
+
+(* What an eviction or unmap drops on each core (see Plb_machine). *)
+let flush_page t vpn =
+  Machine_common.flush_l1_page t.os t.cache ~by_frame:true vpn;
+  ignore (Tlb.invalidate t.tlb ~space:0 ~vpn)
 
 let unmap_page t vpn =
   Os_core.kernel_entry t.os;
-  flush_page_from_cache t vpn;
   Machine_common.flush_l2_page t.os t.l2 vpn;
   let inspected, removed = Tlb.invalidate_vpn_all_spaces t.tlb vpn in
   Machine_common.charge_sweep t.os ~inspected ~removed;
@@ -384,31 +369,43 @@ let unmap_page t vpn =
   Os_core.unmap t.os ~vpn ~write_back:true
 
 let destroy_segment t seg =
-  List.iter
-    (fun pd ->
-      if Option.is_some (Os_core.attachment t.os pd seg) then detach t pd seg)
-    (Os_core.domain_list t.os);
-  List.iter
-    (fun vpn ->
-      if Os_core.is_resident t.os ~vpn then unmap_page t vpn;
-      Sasos_mem.Backing_store.drop t.os.Os_core.disk ~vpn)
-    (Segment.vpns seg);
+  Machine_common.release_segment t.os seg ~detach:(fun pd -> detach t pd seg)
+    ~unmap_page:(unmap_page t);
   (* release any keys still held through overrides of unattached domains *)
   List.iter (fun u -> set_unit_key t u None) (units_of_segment t seg);
   ignore (Segment_table.destroy t.os.Os_core.segments seg.Segment.id)
 
-let ensure_mapped t vpn =
-  (* resident fast path first: the fault handler is the slow path *)
-  let pfn = Os_core.pfn_int t.os ~vpn in
-  if pfn >= 0 then pfn
-  else begin
-    if t.evict_hook == ignore then
-      t.evict_hook <-
-        (fun victim ->
-          flush_page_from_cache t victim;
-          ignore (Tlb.invalidate t.tlb ~space:0 ~vpn:victim));
-    Os_core.ensure_mapped t.os ~vpn ~before_evict:t.evict_hook
-  end
+let core_over os k ~probe =
+  let config = os.Os_core.config in
+  let t =
+    {
+      os;
+      k;
+      tlb = Machine_common.tlb_of_config ~probe config;
+      cache = Machine_common.cache_of_config ~probe config;
+      l2 = Machine_common.l2_of_config ~probe config;
+      current = Pd.kernel;
+    }
+  in
+  k.cores <- k.cores @ [ t ];
+  Os_core.add_core os ~flush:(flush_page t);
+  t
+
+let create (config : Config.t) =
+  let os = Os_core.create config in
+  core_over os
+    {
+      regs = Key_regs.create ~keys:config.Config.pk_keys;
+      keys =
+        Array.init config.Config.pk_keys (fun _ ->
+            { signature = []; pages = 0 });
+      unit_key = Hashtbl.create 64;
+      victim = 0;
+      cores = [];
+    }
+    ~probe:os.Os_core.probe
+
+let add_core t ~probe = core_over t.os t.k ~probe
 
 let data_path t kind va e =
   let g = geom t in
@@ -453,7 +450,7 @@ let access t kind va =
     if e <> Tlb.absent then begin
       m.Metrics.tlb_hits <- m.Metrics.tlb_hits + 1;
       let granted =
-        Key_regs.get t.regs ~pd:(Pd.to_int pd) ~key:(Tlb.aid_of e)
+        Key_regs.get t.k.regs ~pd:(Pd.to_int pd) ~key:(Tlb.aid_of e)
       in
       if Rights.subset needed granted then begin
         data_path t kind va e;
@@ -501,7 +498,7 @@ let access t kind va =
         Access.Protection_fault
       end
       else begin
-        let pfn = ensure_mapped t vpn in
+        let pfn = Os_core.ensure_mapped t.os ~vpn in
         let k = ensure_key t u in
         (* one shared translation table: a single walk suffices (§3.1) *)
         Os_core.charge t.os c.Cost_model.table_op;
@@ -529,15 +526,15 @@ let hw_over_allows t probes =
       e <> Tlb.absent
       && not
            (Rights.subset
-              (Key_regs.get t.regs ~pd:(Pd.to_int pd) ~key:(Tlb.aid_of e))
+              (Key_regs.get t.k.regs ~pd:(Pd.to_int pd) ~key:(Tlb.aid_of e))
               (Os_core.rights t.os pd va)))
     probes
 
 (* Introspection for tests and experiments. *)
-let key_of_unit t u = Hashtbl.find_opt t.unit_key u
+let key_of_unit t u = Hashtbl.find_opt t.k.unit_key u
 let key_of_va t va = key_of_unit t (Os_core.prot_unit t.os va)
 
 let live_keys t =
-  Array.fold_left (fun n ki -> if ki.pages > 0 then n + 1 else n) 0 t.keys
+  Array.fold_left (fun n ki -> if ki.pages > 0 then n + 1 else n) 0 t.k.keys
 
-let key_regs t = t.regs
+let key_regs t = t.k.regs

@@ -19,7 +19,7 @@
     victim (purging its TLB entries, shootdown-style) or parks the page on
     the trap key, where every access is kernel-mediated. *)
 
-include Sasos_os.System_intf.SYSTEM
+include Sasos_os.System_intf.MACHINE
 
 (** {2 Introspection (tests, experiments)} *)
 

@@ -2,47 +2,23 @@ open Sasos_addr
 open Sasos_hw
 open Sasos_os
 
+(* One core of the machine. [os] and [guards] are the OS half, shared by
+   every core added over it; the rest is this core's hardware. *)
 type t = {
   os : Os_core.t;
+  (* Okamoto execution-point extension (paper §5): data segments guarded by
+     a code segment *)
+  guards : (int, int * Rights.t) Hashtbl.t; (* data seg -> (code seg, rights) *)
   plb : Plb.t;
   tlb : Tlb.t; (* space = 0: translations are global, off the critical path *)
   cache : Data_cache.t;
   l2 : Data_cache.t option;
-  (* Okamoto execution-point extension (paper §5): data segments guarded by
-     a code segment, and the current code context register *)
-  guards : (int, int * Rights.t) Hashtbl.t; (* data seg -> (code seg, rights) *)
-  mutable code_context : Segment.t option;
-  (* Built once at creation and reused on every page fault: allocating the
-     eviction callback per fault would break the zero-allocation paging
-     path that the capacity-cliff experiments thrash. *)
-  mutable evict_hook : int -> unit;
+  mutable current : Pd.t;
+  mutable code_context : Segment.t option; (* the current code context register *)
 }
 
 let name = "plb"
 let model = System_intf.Domain_page
-
-let create (config : Config.t) =
-  let os = Os_core.create config in
-  let probe = os.Os_core.probe in
-  {
-    os;
-    plb =
-      Plb.create ~policy:config.Config.policy ~seed:config.Config.seed ~probe
-        ~shifts:config.Config.plb_shifts ~sets:config.Config.plb_sets
-        ~ways:config.Config.plb_ways ();
-    tlb =
-      Tlb.create ~policy:config.Config.policy ~seed:config.Config.seed ~probe
-        ~sets:config.Config.tlb_sets ~ways:config.Config.tlb_ways ();
-    cache =
-      Data_cache.create ~policy:config.Config.policy ~seed:config.Config.seed
-        ~probe ~org:config.Config.cache_org
-        ~size_bytes:config.Config.cache_bytes
-        ~line_bytes:config.Config.cache_line ~ways:config.Config.cache_ways ();
-    l2 = Machine_common.l2_of_config ~probe config;
-    guards = Hashtbl.create 16;
-    code_context = None;
-    evict_hook = ignore;
-  }
 
 let os t = t.os
 let metrics t = t.os.Os_core.metrics
@@ -52,7 +28,7 @@ let charge_external t ~cycles ~page_ins ~page_outs =
 let cost t = t.os.Os_core.cost
 let geom t = t.os.Os_core.geom
 let new_domain t = Os_core.new_domain t.os
-let current_domain t = t.os.Os_core.current
+let current_domain t = t.current
 
 (* A domain switch is one protected register write; neither the PLB nor the
    TLB is purged (§4.1.4). *)
@@ -61,10 +37,28 @@ let switch_domain t pd =
   m.Metrics.domain_switches <- m.Metrics.domain_switches + 1;
   Os_core.charge t.os
     ((cost t).Cost_model.domain_switch + (cost t).Cost_model.pd_id_write);
-  t.os.Os_core.current <- pd
+  t.current <- pd
 
 let new_segment t ?name ?align_shift ~pages () =
   Segment_table.allocate t.os.Os_core.segments ?name ?align_shift ~pages ()
+
+let sweep t pred =
+  let inspected, removed = Plb.purge_matching t.plb pred in
+  Machine_common.charge_sweep t.os ~inspected ~removed
+
+(* The shootdown sweep: this core's entries for [pd] whose protection
+   page overlaps [lo, hi). *)
+let purge_range t pd ~lo ~hi =
+  sweep t (fun epd base shift _ ->
+      Pd.equal epd pd && base < hi && base + (1 lsl shift) > lo)
+
+let purge t pd ~lo ~hi =
+  match pd with
+  | Some pd -> purge_range t pd ~lo ~hi
+  | None -> sweep t (fun _ base shift _ -> base < hi && base + (1 lsl shift) > lo)
+
+let purge_segment t pd (seg : Segment.t) =
+  purge_range t pd ~lo:seg.Segment.base ~hi:(Segment.limit seg)
 
 (* --- Okamoto execution-point extension (§5 related work) ------------- *)
 (* Okamoto et al. extend the domain-page model: a page can be marked
@@ -114,21 +108,15 @@ let unguard_segment t ~data =
   | None -> ()
   | Some (cid, _) ->
       Hashtbl.remove t.guards (Segment.id_to_int data.Segment.id);
-      let lo = data.Segment.base and hi = Segment.limit data in
-      let cpd = Pd.of_int (ctx_tag_base + cid) in
-      let inspected, removed =
-        Plb.purge_matching t.plb (fun epd base _ ->
-            Pd.equal epd cpd && base >= lo && base < hi)
-      in
-      Machine_common.charge_sweep t.os ~inspected ~removed
+      purge_segment t (Pd.of_int (ctx_tag_base + cid)) data
 
 (* Destroying a domain sweeps its PLB entries — the same CAM sweep as a
    detach, over the whole structure. *)
 let destroy_domain t pd =
+  Machine_common.refuse_running ~current:t.current pd;
   Os_core.kernel_entry t.os;
   Os_core.destroy_domain t.os pd;
-  let inspected, removed = Plb.purge_matching t.plb (fun epd _ _ -> Pd.equal epd pd) in
-  Machine_common.charge_sweep t.os ~inspected ~removed
+  sweep t (fun epd _ _ _ -> Pd.equal epd pd)
 
 (* Attach manipulates no hardware: rights fault into the PLB page by page.
    The exception is a re-attach that reduces an existing attachment — a
@@ -145,14 +133,7 @@ let attach t pd seg rights =
   in
   Os_core.set_attachment t.os pd seg rights;
   Os_core.charge t.os (cost t).Cost_model.table_op;
-  if restricting then begin
-    let lo = seg.Segment.base and hi = Segment.limit seg in
-    let inspected, removed =
-      Plb.purge_matching t.plb (fun epd base _ ->
-          Pd.equal epd pd && base >= lo && base < hi)
-    in
-    Machine_common.charge_sweep t.os ~inspected ~removed
-  end
+  if restricting then purge_segment t pd seg
 
 (* Detach sweeps the PLB: inspect every entry, eliminate those for the
    (segment, domain) pair (Table 1). *)
@@ -161,12 +142,7 @@ let detach t pd seg =
   m.Metrics.detaches <- m.Metrics.detaches + 1;
   Os_core.kernel_entry t.os;
   Os_core.remove_attachment t.os pd seg;
-  let lo = seg.Segment.base and hi = Segment.limit seg in
-  let inspected, removed =
-    Plb.purge_matching t.plb (fun epd base _ ->
-        Pd.equal epd pd && base >= lo && base < hi)
-  in
-  Machine_common.charge_sweep t.os ~inspected ~removed;
+  purge_segment t pd seg;
   Os_core.charge t.os (cost t).Cost_model.table_op
 
 (* Pick the coarsest configured protection page size consistent with the OS
@@ -284,51 +260,54 @@ let protect_all t va rights =
       (fun pd' -> ignore (Plb.invalidate t.plb ~pd:pd' ~va))
       (Os_core.domain_list t.os)
 
-let flush_page_from_cache t vpn =
-  let g = geom t in
-  let m = metrics t in
-  let lo = Va.va_of_vpn g vpn in
-  let hi = lo + Geometry.page_size g in
-  let flushed = Data_cache.flush_va_range_count t.cache ~space:0 ~lo ~hi in
-  m.Metrics.cache_lines_flushed <- m.Metrics.cache_lines_flushed + flushed;
-  Os_core.charge t.os ((cost t).Cost_model.cache_line_flush * flushed)
+(* What an eviction or unmap drops on each core: the page's data-cache
+   lines and its TLB entry. *)
+let flush_page t vpn =
+  Machine_common.flush_l1_page t.os t.cache ~by_frame:false vpn;
+  ignore (Tlb.invalidate t.tlb ~space:0 ~vpn)
 
-(* Unmap: flush data-cache lines and drop the TLB entry. The PLB needs no
-   maintenance — stale protection entries are harmless because the missing
-   translation stops any access (§4.1.3). *)
+(* Unmap: flush data-cache lines and drop the TLB entry, on every core
+   ([Os_core.unmap] runs each core's [flush_page]). The PLB needs no
+   maintenance — stale protection entries are harmless because the
+   missing translation stops any access (§4.1.3). *)
 let unmap_page t vpn =
   Os_core.kernel_entry t.os;
-  flush_page_from_cache t vpn;
   Machine_common.flush_l2_page t.os t.l2 vpn;
-  ignore (Tlb.invalidate t.tlb ~space:0 ~vpn);
   Os_core.charge t.os (cost t).Cost_model.table_op;
   Os_core.unmap t.os ~vpn ~write_back:true
 
 let destroy_segment t seg =
-  List.iter
-    (fun pd ->
-      if Option.is_some (Os_core.attachment t.os pd seg) then detach t pd seg)
-    (Os_core.domain_list t.os);
-  List.iter
-    (fun vpn ->
-      if Os_core.is_resident t.os ~vpn then unmap_page t vpn;
-      Sasos_mem.Backing_store.drop t.os.Os_core.disk ~vpn)
-    (Segment.vpns seg);
+  Machine_common.release_segment t.os seg ~detach:(fun pd -> detach t pd seg)
+    ~unmap_page:(unmap_page t);
   ignore (Segment_table.destroy t.os.Os_core.segments seg.Segment.id)
 
-let ensure_mapped t vpn =
-  (* resident fast path first: even entering the fault handler costs a
-     conditional the TLB-refill path need not pay *)
-  let pfn = Os_core.pfn_int t.os ~vpn in
-  if pfn >= 0 then pfn
-  else begin
-    if t.evict_hook == ignore then
-      t.evict_hook <-
-        (fun victim ->
-          flush_page_from_cache t victim;
-          ignore (Tlb.invalidate t.tlb ~space:0 ~vpn:victim));
-    Os_core.ensure_mapped t.os ~vpn ~before_evict:t.evict_hook
-  end
+(* A core over [os]: fresh hardware structures writing gauges to
+   [probe], registered with the OS so evictions and unmaps reach it. *)
+let core_over os guards ~probe =
+  let config = os.Os_core.config in
+  let t =
+    {
+      os;
+      guards;
+      plb =
+        Plb.create ~policy:config.Config.policy ~seed:config.Config.seed
+          ~probe ~shifts:config.Config.plb_shifts ~sets:config.Config.plb_sets
+          ~ways:config.Config.plb_ways ();
+      tlb = Machine_common.tlb_of_config ~probe config;
+      cache = Machine_common.cache_of_config ~probe config;
+      l2 = Machine_common.l2_of_config ~probe config;
+      current = Pd.kernel;
+      code_context = None;
+    }
+  in
+  Os_core.add_core os ~flush:(flush_page t);
+  t
+
+let create config =
+  let os = Os_core.create config in
+  core_over os (Hashtbl.create 16) ~probe:os.Os_core.probe
+
+let add_core t ~probe = core_over t.os t.guards ~probe
 
 (* The data path once protection has approved the access: probe the VIVT
    cache; on a miss consult the (off-critical-path) TLB and fill. *)
@@ -348,7 +327,7 @@ let data_path t kind va =
         m.Metrics.tlb_misses <- m.Metrics.tlb_misses + 1;
         ignore (Tlb.lookup t.tlb ~space:0 ~vpn);
         Os_core.kernel_entry t.os;
-        let pfn = ensure_mapped t vpn in
+        let pfn = Os_core.ensure_mapped t.os ~vpn in
         Tlb.install t.tlb ~space:0 ~vpn
           (Tlb.pack ~pfn ~rights:Rights.rwx ~aid:0 ~dirty:false
              ~referenced:true);
@@ -380,7 +359,7 @@ let data_path t kind va =
        else begin
          m.Metrics.tlb_misses <- m.Metrics.tlb_misses + 1;
          Os_core.kernel_entry t.os;
-         let pfn = ensure_mapped t vpn in
+         let pfn = Os_core.ensure_mapped t.os ~vpn in
          Tlb.install t.tlb ~space:0 ~vpn
            (Tlb.pack ~pfn ~rights:Rights.rwx ~aid:0 ~dirty:write
               ~referenced:true);

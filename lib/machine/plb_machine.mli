@@ -13,7 +13,7 @@
     - with several configured protection page sizes, refills pick the
       coarsest grain that matches the OS truth (§4.3). *)
 
-include Sasos_os.System_intf.SYSTEM
+include Sasos_os.System_intf.MACHINE
 
 (** {2 Okamoto execution-point extension (§5 related work)}
 

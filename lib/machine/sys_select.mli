@@ -31,7 +31,8 @@ val make_smp :
   Config.t ->
   System_intf.packed
 (** Instantiate smp-lifted with explicit parameters, ignoring the
-    process-global defaults (for experiments that vary cores per row). *)
+    process-global defaults (for experiments that vary cores per row).
+    Span-instrumented on the ambient collector like {!make}. *)
 
 val make_all : Config.t -> System_intf.packed list
 (** One fresh instance of every model, in the order of {!all}. *)

@@ -613,6 +613,7 @@ let merge_tracks summaries =
         (fun i c -> if i <= cpa_buckets then cpa.(i) <- cpa.(i) + c)
         s.cpa_hist)
     summaries;
+  (* one clock-ordered timeline; the stable sort keeps track order on ties *)
   let samples =
     List.concat_map
       (fun (s : summary) ->
@@ -621,6 +622,7 @@ let merge_tracks summaries =
             { sm with s_scope = Printf.sprintf "s%d:%s" s.track sm.s_scope })
           s.samples)
       summaries
+    |> List.stable_sort (fun a b -> compare a.s_clock b.s_clock)
   in
   {
     sample_every = !sample_every;

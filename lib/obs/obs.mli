@@ -271,9 +271,11 @@ val merge_tracks : summary list -> summary
     max over tracks (the virtual makespan); top-level [phase_events] and
     flow lists are empty because that detail lives per track; merged
     samples are the per-track samples with scopes prefixed
-    ["s<track>:"]. Sorting by track id makes the result a pure function
-    of the track set: summaries collected from any worker schedule
-    ([--jobs 1] or [N]) merge to byte-identical output.
+    ["s<track>:"], in clock order (track id breaking ties), so the
+    sampler's tail shows every track. Sorting by track id makes the
+    result a pure function of the track set: summaries collected from
+    any worker schedule ([--jobs 1] or [N]) merge to byte-identical
+    output.
     @raise Invalid_argument on an empty list, an untracked input
     ([track < 0]), a duplicate track id, or an input that is itself a
     track merge. *)

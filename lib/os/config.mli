@@ -6,8 +6,8 @@
     with a small LRU cache.
 
     A configuration describes one processor. Multicore runs wrap the
-    machine in [Smp.Make] (lib/smp), which replicates it per core and
-    is the only model of inter-processor shootdowns. *)
+    machine in [Smp.Make] (lib/smp), which adds per-core hardware over
+    the one OS and is the only model of inter-processor shootdowns. *)
 
 open Sasos_addr
 open Sasos_hw

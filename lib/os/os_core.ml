@@ -35,7 +35,7 @@ type t = {
   config : Config.t;
   geom : Geometry.t;
   cost : Cost_model.t;
-  mutable metrics : Metrics.t;
+  metrics : Metrics.t;
   segments : Segment_table.t;
   frames : Frame_allocator.t;
   ipt : Inverted_page_table.t;
@@ -43,7 +43,7 @@ type t = {
   store : store;
   resident_fifo : Int_queue.t;
   mutable next_pd : int;
-  mutable current : Pd.t;
+  mutable flushes : (Va.vpn -> unit) list;
   rng : Prng.t;
   probe : Probe.t;
 }
@@ -69,7 +69,7 @@ let create (config : Config.t) =
       };
     resident_fifo = Int_queue.create ~capacity:4096 ();
     next_pd = 1;
-    current = Pd.kernel;
+    flushes = [];
     rng = Prng.create ~seed:config.Config.seed;
     probe = Probe.create ();
   }
@@ -121,12 +121,7 @@ let unit_over_bump s u delta =
   if c <= 0 then Flat_tab.remove s.unit_over ~k1 ~k2
   else Flat_tab.replace s.unit_over ~k1 ~k2 ~v:c
 
-(* Redirect this OS instance's counters onto [m] (the smp layer shares
-   one record across all replica cores so replicated kernel work — the
-   IPI handlers running the same purge on every core — lands in one
-   aggregate). Charging paths read the field on every use, so the switch
-   takes effect immediately. *)
-let share_metrics t m = t.metrics <- m
+let add_core t ~flush = t.flushes <- t.flushes @ [ flush ]
 
 let new_domain t =
   let pd = t.next_pd in
@@ -144,8 +139,6 @@ let domain_list t =
   go (t.next_pd - 1) []
 
 let destroy_domain t pd =
-  if Pd.equal t.current pd then
-    invalid_arg "Os_core.destroy_domain: domain is running";
   let s = t.store in
   let i = Pd.to_int pd in
   let was_live = live s i in
@@ -301,7 +294,15 @@ let kernel_entry t =
 
 let note_resident t vpn = Int_queue.push t.resident_fifo vpn
 
+(* Top-level recursion: no closure per eviction. *)
+let rec flush_cores vpn = function
+  | [] -> ()
+  | f :: rest ->
+      f vpn;
+      flush_cores vpn rest
+
 let unmap t ~vpn ~write_back =
+  flush_cores vpn t.flushes;
   let bits = Inverted_page_table.unmap_bits t.ipt ~vpn in
   if bits >= 0 then begin
     if write_back && Inverted_page_table.bits_dirty bits then begin
@@ -313,35 +314,32 @@ let unmap t ~vpn ~write_back =
     Frame_allocator.free t.frames (Inverted_page_table.bits_pfn bits)
   end
 
-let rec evict_oldest t ~before_evict =
+let rec evict_oldest t =
   let victim = Int_queue.pop t.resident_fifo in
   if victim < 0 then failwith "Os_core: no resident page to evict"
   else if
     (* the FIFO may contain stale entries for pages already unmapped;
        residency is exactly IPT membership *)
     Inverted_page_table.is_mapped t.ipt ~vpn:victim
-  then begin
-    before_evict victim;
-    unmap t ~vpn:victim ~write_back:true
-  end
-  else evict_oldest t ~before_evict
+  then unmap t ~vpn:victim ~write_back:true
+  else evict_oldest t
 
 (* Top-level recursion, not a local [let rec]: a closure per page fault
    would defeat the zero-allocation eviction path. *)
-let rec acquire_frame t ~before_evict =
+let rec acquire_frame t =
   let f = Frame_allocator.alloc_int t.frames in
   if f >= 0 then f
   else begin
-    evict_oldest t ~before_evict;
-    acquire_frame t ~before_evict
+    evict_oldest t;
+    acquire_frame t
   end
 
-let ensure_mapped t ~vpn ~before_evict =
+let ensure_mapped t ~vpn =
   let bits = Inverted_page_table.find_bits t.ipt ~vpn in
   if bits >= 0 then Inverted_page_table.bits_pfn bits
   else begin
     t.metrics.Metrics.page_faults <- t.metrics.Metrics.page_faults + 1;
-    let pfn = acquire_frame t ~before_evict in
+    let pfn = acquire_frame t in
     (* page-in from disk if a copy exists; else zero-fill (cheap) *)
     if Backing_store.resident t.disk ~vpn then begin
       t.metrics.Metrics.page_ins <- t.metrics.Metrics.page_ins + 1;
@@ -354,20 +352,9 @@ let ensure_mapped t ~vpn ~before_evict =
 
 let is_resident t ~vpn = Inverted_page_table.is_mapped t.ipt ~vpn
 
-let pfn_of t ~vpn =
-  Option.map
-    (fun m -> m.Inverted_page_table.pfn)
-    (Inverted_page_table.find t.ipt ~vpn)
-
 let pfn_int t ~vpn =
   let bits = Inverted_page_table.find_bits t.ipt ~vpn in
   if bits < 0 then -1 else Inverted_page_table.bits_pfn bits
-
-let pa_of t va =
-  let vpn = Va.vpn_of_va t.geom va in
-  Option.map
-    (fun pfn -> (pfn lsl t.geom.Geometry.page_shift) lor Va.offset t.geom va)
-    (pfn_of t ~vpn)
 
 let pa_int t va =
   let vpn = Va.vpn_of_va t.geom va in
@@ -376,5 +363,9 @@ let pa_int t va =
   else
     (Inverted_page_table.bits_pfn bits lsl t.geom.Geometry.page_shift)
     lor Va.offset t.geom va
+
+let pa_of t va =
+  let pa = pa_int t va in
+  if pa < 0 then None else Some pa
 
 let mark_dirty t ~vpn = Inverted_page_table.set_dirty t.ipt ~vpn

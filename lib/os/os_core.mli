@@ -26,10 +26,9 @@ type t = {
   config : Config.t;
   geom : Geometry.t;
   cost : Cost_model.t;
-  mutable metrics : Metrics.t;
-      (** mutable so the smp layer can point every replica core's OS at
-          one shared record (see {!share_metrics}); machines always read
-          the field at charge time, never capture it at create *)
+  metrics : Metrics.t;
+      (** one record for the machine: every core over this OS charges
+          into it *)
   segments : Segment_table.t;
   frames : Frame_allocator.t;
   ipt : Inverted_page_table.t;
@@ -39,19 +38,20 @@ type t = {
       (** eviction order when memory fills; residency itself is IPT
           membership *)
   mutable next_pd : int;
-  mutable current : Pd.t;
+  mutable flushes : (Va.vpn -> unit) list;  (** per core: see {!add_core} *)
   rng : Sasos_util.Prng.t;
   probe : Probe.t;
-      (** gauge sink shared by this machine's hardware structures; read by
-          the observability sampler *)
+      (** gauge sink of the first core's hardware structures; read by the
+          observability sampler. Cores added later bring their own. *)
 }
 
 val create : Config.t -> t
 
-val share_metrics : t -> Sasos_hw.Metrics.t -> unit
-(** Redirect this instance's counters onto a record owned elsewhere. The
-    smp layer points every replica core's OS at core 0's record so the
-    per-core purge work of a shootdown accumulates into one aggregate. *)
+val add_core : t -> flush:(Va.vpn -> unit) -> unit
+(** Register one more core over this OS. [flush vpn] drops the page from
+    that core's private structures (its data cache and TLB); {!unmap}
+    runs it on every core before the frame is freed, so an eviction or an
+    unmap on one core reaches them all. *)
 
 (** {2 Domains} *)
 
@@ -61,8 +61,8 @@ val domain_list : t -> Pd.t list
 
 val destroy_domain : t -> Pd.t -> unit
 (** Remove the domain and all of its attachments and overrides from the
-    truth. Hardware coherence is the machine's job.
-    @raise Invalid_argument if the domain is currently running. *)
+    truth. Hardware coherence, and refusing to destroy a domain a core is
+    running, are the machine's job. *)
 
 (** {2 Protection truth} *)
 
@@ -108,21 +108,18 @@ val charge : t -> int -> unit
 val kernel_entry : t -> unit
 (** Count a trap into the kernel and charge its cost. *)
 
-val ensure_mapped :
-  t -> vpn:Va.vpn -> before_evict:(Va.vpn -> unit) -> int
+val ensure_mapped : t -> vpn:Va.vpn -> int
 (** Return the page's frame, paging it in (zero-fill or from disk) if
     needed. When physical memory is full, evicts the oldest resident page
-    first, calling [before_evict victim] so the machine can flush its
-    hardware structures for the victim. Charges page-in / page-out costs.
+    first through {!unmap}. Charges page-in / page-out costs.
     @raise Failure if no frame can be found. *)
 
 val unmap : t -> vpn:Va.vpn -> write_back:bool -> unit
-(** Remove the translation (if mapped), optionally writing a dirty page to
-    the backing store; frees the frame. Hardware coherence is the caller's
-    job. *)
+(** Flush the page from every core (the [flush] of each {!add_core}),
+    then remove the translation (if mapped), optionally writing a dirty
+    page to the backing store, and free the frame. *)
 
 val is_resident : t -> vpn:Va.vpn -> bool
-val pfn_of : t -> vpn:Va.vpn -> int option
 
 val pfn_int : t -> vpn:Va.vpn -> int
 (** Frame number of a mapped page, or [-1]. Never allocates. *)

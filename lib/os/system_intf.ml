@@ -111,6 +111,27 @@ module type SYSTEM = sig
       access the OS truth denies — must always be false (tested). *)
 end
 
+(** A machine model: one OS half ({!Os_core.t} plus the model's own
+    tables) under per-core hardware (TLB, PLB or page-group cache, data
+    caches, current domain). [create] builds the OS and its first core;
+    [Smp.Make] adds the others. *)
+module type MACHINE = sig
+  include SYSTEM
+
+  val add_core : t -> probe:Probe.t -> t
+  (** A new core over [t]'s OS half: its own, empty hardware structures
+      (gauges written to [probe]), no domain running. Operations on
+      either core see one OS; page evictions and unmaps flush both. *)
+
+  val purge : t -> Pd.t option -> lo:Va.t -> hi:Va.t -> unit
+  (** The shootdown handler, run on this core after another core revoked
+      the domain's ([None]: any domain's) rights in [\[lo, hi)]: drop the
+      entries that could still grant them and bill the sweep, never
+      changing OS state or entering the kernel. Page-group and
+      protection-key cores have nothing to drop: their OS half re-encodes
+      every core's entries as it changes protection. *)
+end
+
 type packed = Packed : (module SYSTEM with type t = 'a) * 'a -> packed
 (** A machine instance bundled with its implementation, so workloads and
     experiments can be polymorphic over machines at runtime. *)

@@ -5,34 +5,33 @@ module Obs = Sasos_obs.Obs
 module Flat_tab = Sasos_util.Flat_tab
 module Split = Sasos_util.Prng.Split
 
-(* Multicore layer by lockstep replication (see smp.mli). The modeling
+(* Multicore layer: one OS, N cores (see smp.mli). The modelling
    contract, in one place:
 
-   - Truth-mutating operations are applied to every replica, so each
-     core's private TLB/PLB/page-group-cache/key-register state is
-     maintained by that core's own machine model — the per-core work of
-     the IPI purge handler. Counters therefore count per-core
-     applications (kernel_entries, attaches, purge sweeps scale with N);
-     that replicated work is the coherence traffic being measured.
-   - I/O is shared, not per-core: page-in/page-out charges from
-     non-initiating replicas are refunded ([apply_all]), and a shared
-     paged-in filter refunds duplicate disk reads when a page already
-     brought to memory by one core faults in on another. Residency
-     bookkeeping itself stays per core (first touch per core models the
-     per-core translation fill). Exact in no-eviction regimes; under
-     frame pressure duplicate write-backs of the same frame are still
-     possible and accepted as an approximation.
+   - Each machine value is one core: its own TLB, PLB or page-group
+     cache, data caches and current domain over the OS half it shares
+     with the others ([MACHINE.add_core]). Every OS operation runs
+     once, on the core the scheduler drew, so kernel entries, table
+     writes and disk traffic are counted once however many cores there
+     are.
+   - A revocation (some (domain, page) lost rights) is followed by the
+     shootdown handler, [MACHINE.purge], on every other core: it drops
+     that core's entries for the revoked range and bills its sweep (the
+     page-group and protection-key models re-encode every core's entries
+     as the OS changes them, so theirs has nothing left to drop). This
+     happens under every policy, so [hw_over_allows] stays false on every
+     core and the differential probe set is policy-independent.
    - Staleness under lazy/batched purge is an outcome overlay, not
-     replica state: replicas always apply revocations immediately (so
-     [hw_over_allows] stays false and the differential probe set is
-     policy-independent), while per-core pending tables record what the
-     core's private structures would still hold had the purge not run.
-     A pending entry only matters on a core that had actually cached the
+     hardware state: per-core pending tables record what the core's
+     private structures would still hold had the purge not run. A
+     pending entry only matters on a core that had actually cached the
      mapping ([touched]); a stale hit serves the pre-revocation rights
      snapshot — never more — and under lazy raises a stale trap that
-     validates the entry. The cost of the replica's coherent access path
-     is charged even when the overlay substitutes a stale outcome; the
-     overlay adds outcome semantics and trap charges only. *)
+     validates the entry. The cost of the coherent access path is charged
+     even when the overlay substitutes a stale outcome; the overlay adds
+     outcome semantics and trap charges only.
+   - Page evictions and unmaps reach every core through the shared OS
+     ([Os_core.unmap]); they bill no IPI round. *)
 
 type purge = Eager | Lazy | Batched
 
@@ -103,9 +102,7 @@ let hash_mix h v = ((h lxor v) * 0x01000193) land max_int
 (* -- introspection handles ----------------------------------------------- *)
 
 type handle = {
-  h_name : string;
   h_cores : int;
-  h_purge : purge;
   h_schedule_hash : unit -> int;
   h_steps : unit -> int;
   h_pending_total : unit -> int;
@@ -120,9 +117,10 @@ let last () = !(Domain.DLS.get last_handle)
 
 (* -- the functor --------------------------------------------------------- *)
 
-module Make (S : System_intf.SYSTEM) = struct
+module Make (S : System_intf.MACHINE) = struct
   type t = {
-    replicas : S.t array;
+    cores_hw : S.t array;  (* core 0 is the machine [S.create] built *)
+    os : Os_core.t;  (* the one OS under every core *)
     cores : int;
     purge : purge;
     ipi_budget : int;
@@ -130,10 +128,6 @@ module Make (S : System_intf.SYSTEM) = struct
     c_ipi_deliver : int;
     c_ipi_ack : int;
     c_stale_trap : int;
-    c_page_in : int;
-    c_page_out : int;
-    geom : Geometry.t;
-    m : Metrics.t;  (* shared across all replicas *)
     mutable thread_current : Pd.t;
     mutable rng : int;  (* scheduler state *)
     mutable hash : int;
@@ -142,7 +136,6 @@ module Make (S : System_intf.SYSTEM) = struct
     mutable flow_id : int;
     pending : Flat_tab.t array;  (* per core: (pd, vpn) -> old rights *)
     touched : Flat_tab.t array;  (* per core: (pd, vpn) -> 1 *)
-    paged_in : Flat_tab.t;  (* (vpn, 0) -> 1: ever paged in from disk *)
     obs_on : bool;
     obs : Obs.t array;  (* per-core collectors (track = core id) *)
     handles : Obs.machine array;
@@ -159,11 +152,15 @@ module Make (S : System_intf.SYSTEM) = struct
       match bud with Some b -> b | None -> Atomic.get default_ipi_budget
     in
     if bud < 1 then invalid_arg "Smp.create_with: ipi_budget must be >= 1";
-    let replicas = Array.init nc (fun _ -> S.create config) in
-    let m = S.metrics replicas.(0) in
-    for r = 1 to nc - 1 do
-      Os_core.share_metrics (S.os replicas.(r)) m
-    done;
+    let core0 = S.create config in
+    let os = S.os core0 in
+    let probes =
+      Array.init nc (fun c -> if c = 0 then os.Os_core.probe else Probe.create ())
+    in
+    let cores_hw =
+      Array.init nc (fun c ->
+          if c = 0 then core0 else S.add_core core0 ~probe:probes.(c))
+    in
     let cost = config.Config.cost in
     let deliver =
       let o = Atomic.get ipi_cost_override in
@@ -179,13 +176,14 @@ module Make (S : System_intf.SYSTEM) = struct
     let handles =
       if obs_on then
         Array.init nc (fun c ->
-            Obs.register_machine obs.(c) ~model:S.name ~metrics:m
-              ~probe:(S.os replicas.(c)).Os_core.probe)
+            Obs.register_machine obs.(c) ~model:S.name ~metrics:os.Os_core.metrics
+              ~probe:probes.(c))
       else [||]
     in
     let t =
       {
-        replicas;
+        cores_hw;
+        os;
         cores = nc;
         purge;
         ipi_budget = bud;
@@ -193,10 +191,6 @@ module Make (S : System_intf.SYSTEM) = struct
         c_ipi_deliver = deliver;
         c_ipi_ack = cost.Cost_model.ipi_ack;
         c_stale_trap = cost.Cost_model.stale_trap;
-        c_page_in = cost.Cost_model.page_in;
-        c_page_out = cost.Cost_model.page_out;
-        geom = config.Config.geom;
-        m;
         thread_current = Pd.kernel;
         rng = schedule_state ~seed:config.Config.seed;
         hash = 0;
@@ -205,7 +199,6 @@ module Make (S : System_intf.SYSTEM) = struct
         flow_id = 0;
         pending = Array.init nc (fun _ -> Flat_tab.create ~size_hint:64 ());
         touched = Array.init nc (fun _ -> Flat_tab.create ~size_hint:64 ());
-        paged_in = Flat_tab.create ~size_hint:256 ();
         obs_on;
         obs;
         handles;
@@ -213,9 +206,7 @@ module Make (S : System_intf.SYSTEM) = struct
     in
     set_last
       {
-        h_name = S.name;
         h_cores = nc;
-        h_purge = purge;
         h_schedule_hash = (fun () -> t.hash);
         h_steps = (fun () -> t.step);
         h_pending_total =
@@ -268,33 +259,17 @@ module Make (S : System_intf.SYSTEM) = struct
     else f ()
 
   (* The single logical thread migrates to the scheduled core: a real
-     domain switch on that replica, charged into the shared record. *)
+     domain switch on that core, charged into the shared record. *)
   let migrate t c =
-    let rep = t.replicas.(c) in
-    if not (Pd.equal (S.current_domain rep) t.thread_current) then
-      S.switch_domain rep t.thread_current
+    let core = t.cores_hw.(c) in
+    if not (Pd.equal (S.current_domain core) t.thread_current) then
+      S.switch_domain core t.thread_current
 
-  (* Apply one truth mutation to every replica. Non-initiating replicas
-     refund their I/O: disk traffic happens once however many cores run
-     the handler. *)
-  let apply_all t c f =
-    let m = t.m in
+  (* The IPI handlers of a revocation: every core but the initiator
+     drops its entries for the range. *)
+  let purge_others t c pd ~lo ~hi =
     for r = 0 to t.cores - 1 do
-      if r = c then f t.replicas.(r)
-      else begin
-        let ins = m.Metrics.page_ins and outs = m.Metrics.page_outs in
-        f t.replicas.(r);
-        let d_in = m.Metrics.page_ins - ins in
-        let d_out = m.Metrics.page_outs - outs in
-        if d_in > 0 then begin
-          m.Metrics.page_ins <- m.Metrics.page_ins - d_in;
-          m.Metrics.cycles <- m.Metrics.cycles - (d_in * t.c_page_in)
-        end;
-        if d_out > 0 then begin
-          m.Metrics.page_outs <- m.Metrics.page_outs - d_out;
-          m.Metrics.cycles <- m.Metrics.cycles - (d_out * t.c_page_out)
-        end
-      end
+      if r <> c then S.purge t.cores_hw.(r) pd ~lo ~hi
     done
 
   (* One synchronous shootdown round from core [c]: initiation,
@@ -303,7 +278,7 @@ module Make (S : System_intf.SYSTEM) = struct
      drains. *)
   let round t c =
     if t.cores > 1 then begin
-      let m = t.m in
+      let m = t.os.Os_core.metrics in
       m.Metrics.shootdowns <- m.Metrics.shootdowns + 1;
       m.Metrics.ipis <- m.Metrics.ipis + (t.cores - 1);
       m.Metrics.cycles <-
@@ -345,58 +320,58 @@ module Make (S : System_intf.SYSTEM) = struct
     done
 
   (* Universal hazard classification: a pair is revoked iff its rights
-     before the mutation are not a subset of its rights after. Old
-     rights come from replica 0's truth before any replica applies. *)
+     before the mutation are not a subset of its rights after. *)
   let seg_revocations t c pd seg apply =
-    let os0 = S.os t.replicas.(0) in
     let n = seg.Segment.pages in
     let olds =
       Array.init n (fun i ->
-          Rights.to_int (Os_core.rights os0 pd (Segment.page_va seg i)))
+          Rights.to_int (Os_core.rights t.os pd (Segment.page_va seg i)))
     in
-    apply_all t c apply;
+    apply t.cores_hw.(c);
     let d = Pd.to_int pd in
     let base_vpn = Segment.first_vpn seg in
     let hazard = ref false in
     for i = 0 to n - 1 do
-      let nw = Os_core.rights os0 pd (Segment.page_va seg i) in
+      let nw = Os_core.rights t.os pd (Segment.page_va seg i) in
       if not (Rights.subset (Rights.of_int olds.(i)) nw) then begin
         hazard := true;
         if t.purge <> Eager then add_pending_except t c d (base_vpn + i) olds.(i)
       end
     done;
-    if !hazard then revoked t c
+    if !hazard then begin
+      purge_others t c (Some pd) ~lo:seg.Segment.base ~hi:(Segment.limit seg);
+      revoked t c
+    end
+
+  (* The virtual range of the protection unit containing [va]. *)
+  let unit_range t va =
+    let shift = t.os.Os_core.geom.Geometry.prot_shift in
+    let lo = va land lnot ((1 lsl shift) - 1) in
+    (lo, lo + (1 lsl shift))
 
   (* -- SYSTEM ------------------------------------------------------------ *)
 
-  let os t = S.os t.replicas.(0)
-  let metrics t = t.m
+  let os t = t.os
+  let metrics t = t.os.Os_core.metrics
   let current_domain t = t.thread_current
 
   let resident_prot_entries_for t va =
     Array.fold_left
-      (fun acc rep -> acc + S.resident_prot_entries_for rep va)
-      0 t.replicas
+      (fun acc core -> acc + S.resident_prot_entries_for core va)
+      0 t.cores_hw
 
   let hw_over_allows t probes =
-    Array.exists (fun rep -> S.hw_over_allows rep probes) t.replicas
+    Array.exists (fun core -> S.hw_over_allows core probes) t.cores_hw
 
   let new_domain t =
     let c = sched t 1 in
-    spanned t c "new_domain" @@ fun () ->
-    let pd = S.new_domain t.replicas.(0) in
-    for r = 1 to t.cores - 1 do
-      let pd' = S.new_domain t.replicas.(r) in
-      if not (Pd.equal pd pd') then
-        failwith "Smp.new_domain: replica divergence"
-    done;
-    pd
+    spanned t c "new_domain" @@ fun () -> S.new_domain t.cores_hw.(c)
 
   let switch_domain t pd =
     let c = sched t 2 in
     spanned t c "switch_domain" @@ fun () ->
     t.thread_current <- pd;
-    S.switch_domain t.replicas.(c) pd
+    S.switch_domain t.cores_hw.(c) pd
 
   let destroy_domain t pd =
     if Pd.equal pd t.thread_current then
@@ -404,58 +379,56 @@ module Make (S : System_intf.SYSTEM) = struct
     let c = sched t 3 in
     spanned t c "destroy_domain" @@ fun () ->
     migrate t c;
-    (* a replica whose hardware-current is the victim reschedules first
+    (* a core whose hardware-current is the victim reschedules first
        (the thread last ran there before migrating away) *)
-    for r = 0 to t.cores - 1 do
-      if Pd.equal (S.current_domain t.replicas.(r)) pd then
-        S.switch_domain t.replicas.(r) t.thread_current
-    done;
-    apply_all t c (fun rep -> S.destroy_domain rep pd);
+    Array.iter
+      (fun core ->
+        if Pd.equal (S.current_domain core) pd then
+          S.switch_domain core t.thread_current)
+      t.cores_hw;
+    S.destroy_domain t.cores_hw.(c) pd;
+    purge_others t c (Some pd) ~lo:0 ~hi:max_int;
     round t c
 
   let new_segment t ?name ?align_shift ~pages () =
     let c = sched t 4 in
     spanned t c "new_segment" @@ fun () ->
-    let seg = S.new_segment t.replicas.(0) ?name ?align_shift ~pages () in
-    for r = 1 to t.cores - 1 do
-      let seg' = S.new_segment t.replicas.(r) ?name ?align_shift ~pages () in
-      if not (Segment.id_equal seg.Segment.id seg'.Segment.id) then
-        failwith "Smp.new_segment: replica divergence"
-    done;
-    seg
+    S.new_segment t.cores_hw.(c) ?name ?align_shift ~pages ()
 
   let destroy_segment t seg =
     let c = sched t 5 in
     spanned t c "destroy_segment" @@ fun () ->
     migrate t c;
-    apply_all t c (fun rep -> S.destroy_segment rep seg);
+    S.destroy_segment t.cores_hw.(c) seg;
+    purge_others t c None ~lo:seg.Segment.base ~hi:(Segment.limit seg);
     round t c
 
   let attach t pd seg r =
     let c = sched t 6 in
     spanned t c "attach" @@ fun () ->
     migrate t c;
-    seg_revocations t c pd seg (fun rep -> S.attach rep pd seg r)
+    seg_revocations t c pd seg (fun core -> S.attach core pd seg r)
 
   let detach t pd seg =
     let c = sched t 7 in
     spanned t c "detach" @@ fun () ->
     migrate t c;
-    seg_revocations t c pd seg (fun rep -> S.detach rep pd seg)
+    seg_revocations t c pd seg (fun core -> S.detach core pd seg)
 
   let grant t pd va r =
     let c = sched t 8 in
     spanned t c "grant" @@ fun () ->
     migrate t c;
-    let os0 = S.os t.replicas.(0) in
-    let old = Os_core.rights os0 pd va in
-    apply_all t c (fun rep -> S.grant rep pd va r);
-    let nw = Os_core.rights os0 pd va in
+    let old = Os_core.rights t.os pd va in
+    S.grant t.cores_hw.(c) pd va r;
+    let nw = Os_core.rights t.os pd va in
     if not (Rights.subset old nw) then begin
       if t.purge <> Eager then
         add_pending_except t c (Pd.to_int pd)
-          (Va.vpn_of_va t.geom va)
+          (Va.vpn_of_va t.os.Os_core.geom va)
           (Rights.to_int old);
+      let lo, hi = unit_range t va in
+      purge_others t c (Some pd) ~lo ~hi;
       revoked t c
     end
 
@@ -463,18 +436,17 @@ module Make (S : System_intf.SYSTEM) = struct
     let c = sched t 9 in
     spanned t c "protect_all" @@ fun () ->
     migrate t c;
-    let os0 = S.os t.replicas.(0) in
     let olds =
       List.map
-        (fun pd -> (pd, Rights.to_int (Os_core.rights os0 pd va)))
-        (Os_core.domain_list os0)
+        (fun pd -> (pd, Rights.to_int (Os_core.rights t.os pd va)))
+        (Os_core.domain_list t.os)
     in
-    apply_all t c (fun rep -> S.protect_all rep va r);
-    let vpn = Va.vpn_of_va t.geom va in
+    S.protect_all t.cores_hw.(c) va r;
+    let vpn = Va.vpn_of_va t.os.Os_core.geom va in
     let hazard =
       List.fold_left
         (fun hz (pd, old_i) ->
-          let nw = Os_core.rights os0 pd va in
+          let nw = Os_core.rights t.os pd va in
           if not (Rights.subset (Rights.of_int old_i) nw) then begin
             if t.purge <> Eager then
               add_pending_except t c (Pd.to_int pd) vpn old_i;
@@ -483,19 +455,23 @@ module Make (S : System_intf.SYSTEM) = struct
           else hz)
         false olds
     in
-    if hazard then revoked t c
+    if hazard then begin
+      let lo, hi = unit_range t va in
+      purge_others t c None ~lo ~hi;
+      revoked t c
+    end
 
   let protect_segment t pd seg r =
     let c = sched t 10 in
     spanned t c "protect_segment" @@ fun () ->
     migrate t c;
-    seg_revocations t c pd seg (fun rep -> S.protect_segment rep pd seg r)
+    seg_revocations t c pd seg (fun core -> S.protect_segment core pd seg r)
 
   let unmap_page t vpn =
     let c = sched t 11 in
     spanned t c "unmap_page" @@ fun () ->
     migrate t c;
-    apply_all t c (fun rep -> S.unmap_page rep vpn);
+    S.unmap_page t.cores_hw.(c) vpn;
     round t c
 
   (* Written straight-line (no [spanned] closure) so the obs-disabled
@@ -505,22 +481,11 @@ module Make (S : System_intf.SYSTEM) = struct
     if t.obs_on then Obs.op_begin t.handles.(c) "access";
     let outcome =
       migrate t c;
-      let m = t.m in
-      let vpn = Va.vpn_of_va t.geom va in
-      let ins0 = m.Metrics.page_ins in
-      let truth = S.access t.replicas.(c) kind va in
-      (* shared-memory filter: a page one core already paged in is
-         resident for all; refund the duplicate disk read *)
-      if m.Metrics.page_ins > ins0 then begin
-        if Flat_tab.mem t.paged_in ~k1:vpn ~k2:0 then begin
-          let d = m.Metrics.page_ins - ins0 in
-          m.Metrics.page_ins <- m.Metrics.page_ins - d;
-          m.Metrics.cycles <- m.Metrics.cycles - (d * t.c_page_in)
-        end
-        else Flat_tab.replace t.paged_in ~k1:vpn ~k2:0 ~v:1
-      end;
+      let truth = S.access t.cores_hw.(c) kind va in
       if t.purge = Eager || t.cores = 1 then truth
       else begin
+        let m = t.os.Os_core.metrics in
+        let vpn = Va.vpn_of_va t.os.Os_core.geom va in
         let d = Pd.to_int t.thread_current in
         let outcome =
           let pi = Flat_tab.find t.pending.(c) ~k1:d ~k2:vpn in
@@ -563,5 +528,5 @@ module Make (S : System_intf.SYSTEM) = struct
   let charge_external t ~cycles ~page_ins ~page_outs =
     let c = sched t 13 in
     spanned t c "charge_external" @@ fun () ->
-    S.charge_external t.replicas.(c) ~cycles ~page_ins ~page_outs
+    S.charge_external t.cores_hw.(c) ~cycles ~page_ins ~page_outs
 end

@@ -1,17 +1,20 @@
-(** Multicore machine layer: N per-core private protection structures
-    over shared OS truth, with an inter-processor shootdown protocol.
+(** Multicore machine layer: N cores over one OS, with an
+    inter-processor shootdown protocol.
 
     The paper models a single CPU; on a multiprocessor every
     protection revocation becomes a TLB/PLB shootdown whose cost scales
     with core count and purge policy (§4.1.3). The machine models are
     single-core, so this layer is the only one that counts shootdowns
-    and bills IPIs. {!Make} lifts any single-core machine model to [N]
-    cores by full lockstep replication: every truth-mutating operation
-    is applied to all replicas (the IPI handler running the same purge
-    on each core), accesses execute only on the core the deterministic
-    interleaving scheduler picked, and all replicas charge into one
-    shared {!Sasos_hw.Metrics} record. Three purge policies decide when
-    remote cores learn of a revocation:
+    and bills IPIs. {!Make} lifts any machine model to [N] cores: one OS
+    half (truth, translations, frames, disk and the model's own tables)
+    under [N] per-core hardware halves
+    ({!Sasos_os.System_intf.MACHINE.add_core}). Every operation runs
+    once, on the core the deterministic interleaving scheduler picked;
+    after a revocation the other cores run the shootdown handler
+    ({!Sasos_os.System_intf.MACHINE.purge}), which drops their entries
+    for the revoked range and bills its sweep. All cores charge into the
+    OS's one {!Sasos_hw.Metrics} record. Three purge policies decide
+    when remote cores learn of a revocation:
 
     - {e eager}: a synchronous shootdown round per revocation —
       [ipi_send + (N-1) * ipi_deliver + ipi_ack] cycles, [N-1] IPIs;
@@ -22,6 +25,10 @@
     - {e batched}: revocations are queued and flushed in one round per
       [ipi_budget] revocations (destroys and unmaps still force a
       synchronous round — frames are about to be reused).
+
+    A page eviction (memory full) flushes the victim from every core
+    through the shared OS but bills no IPI round; billing one is out of
+    scope.
 
     Execution order is driven by a splitmix-derived per-step core draw,
     reproducible from [(Config.seed, cores)], so every run is replayable
@@ -72,9 +79,7 @@ val schedule_next : int -> cores:int -> int * int
 (** {2 Introspection for tests and the profile CLI} *)
 
 type handle = {
-  h_name : string;
   h_cores : int;
-  h_purge : purge;
   h_schedule_hash : unit -> int;
       (** fold over [(step, core, op)] — two runs interleaved identically
           iff equal *)
@@ -93,7 +98,7 @@ val last : unit -> handle option
 (** The handle of the most recently created {!Make} instance on this
     domain (domain-local, so parallel runner workers don't interfere). *)
 
-module Make (S : Sasos_os.System_intf.SYSTEM) : sig
+module Make (S : Sasos_os.System_intf.MACHINE) : sig
   include Sasos_os.System_intf.SYSTEM
 
   val create_with :

@@ -580,7 +580,7 @@ let test_tracked_chrome_and_json () =
    `sasos profile --cores 4 --chrome-out` does: each core records into
    its own track ("core N"), and every eager shootdown round emits a
    flow begin at the initiating core plus a flow end per remote core. *)
-let smp_core_summaries () =
+let smp_run () =
   let o = Obs.create () in
   let cycles =
     Obs.with_ambient o (fun () ->
@@ -604,8 +604,58 @@ let smp_core_summaries () =
         (System_ops.metrics sys).Metrics.cycles)
   in
   match Smp.last () with
-  | Some h -> (h.Smp.h_summaries (), cycles)
+  | Some h -> (h.Smp.h_summaries (), cycles, Obs.summarize o)
   | None -> Alcotest.fail "no smp handle"
+
+let smp_core_summaries () =
+  let per_core, cycles, _ = smp_run () in
+  (per_core, cycles)
+
+(* An smp-lifted machine built inside a profiled experiment reaches the
+   experiment's (ambient) collector, not only its private per-core ones:
+   the ambient profile's total is the run's cycles. *)
+let test_smp_reaches_ambient () =
+  let _, cycles, ambient = smp_run () in
+  Alcotest.(check bool) "the run charged cycles" true (cycles > 0);
+  Alcotest.(check int) "ambient total = the run's cycles" cycles
+    ambient.Obs.total_cycles
+
+(* Merged per-core samples form one clock-ordered timeline (track id
+   breaking ties), so the sampler's tail shows every core, not the last
+   track's points only. *)
+let test_merged_samples_clock_order () =
+  Obs.with_ambient (Obs.create ()) (fun () ->
+      let sys =
+        Machines.make_smp Machines.Plb ~cores:4 ~purge:Smp.Eager
+          Config.default
+      in
+      let d1 = System_ops.new_domain sys in
+      let seg = System_ops.new_segment sys ~pages:8 () in
+      System_ops.attach sys d1 seg Rights.rw;
+      System_ops.switch_domain sys d1;
+      for i = 0 to 19_999 do
+        ignore
+          (System_ops.access sys Access.Read (Segment.page_va seg (i land 7)))
+      done);
+  let per_core =
+    match Smp.last () with
+    | Some h -> h.Smp.h_summaries ()
+    | None -> Alcotest.fail "no smp handle"
+  in
+  let merged = Obs.merge_tracks per_core in
+  let track_of (sm : Obs.sample) =
+    Scanf.sscanf sm.Obs.s_scope "s%d:" (fun t -> t)
+  in
+  let key sm = (sm.Obs.s_clock, track_of sm) in
+  Alcotest.(check bool) "several cores sampled" true
+    (List.length (List.sort_uniq compare (List.map track_of merged.Obs.samples))
+    > 1);
+  let rec ordered = function
+    | a :: (b :: _ as tl) -> compare (key a) (key b) <= 0 && ordered tl
+    | _ -> true
+  in
+  Alcotest.(check bool) "samples in (clock, track) order" true
+    (ordered merged.Obs.samples)
 
 let test_smp_core_totals () =
   (* the cores share one metrics record: the merged total must count the
@@ -737,5 +787,9 @@ let suite =
     Alcotest.test_case "smp per-core chrome tracks" `Quick
       test_smp_chrome_per_core;
     Alcotest.test_case "smp per-core totals" `Quick test_smp_core_totals;
+    Alcotest.test_case "smp run reaches the ambient collector" `Quick
+      test_smp_reaches_ambient;
+    Alcotest.test_case "merged samples in clock order" `Quick
+      test_merged_samples_clock_order;
     Alcotest.test_case "injectable clock" `Quick test_injectable_clock;
   ]

@@ -77,18 +77,18 @@ let test_ensure_mapped_and_eviction () =
   let config = Config.v ~frames:2 () in
   let os = Os_core.create config in
   let evicted = ref [] in
-  let before_evict v = evicted := v :: !evicted in
-  let f1 = Os_core.ensure_mapped os ~vpn:1 ~before_evict in
-  let f2 = Os_core.ensure_mapped os ~vpn:2 ~before_evict in
+  Os_core.add_core os ~flush:(fun v -> evicted := v :: !evicted);
+  let f1 = Os_core.ensure_mapped os ~vpn:1 in
+  let f2 = Os_core.ensure_mapped os ~vpn:2 in
   Alcotest.(check bool) "distinct frames" true (f1 <> f2);
   (* memory full: mapping a third page evicts the oldest (vpn 1) *)
-  let _ = Os_core.ensure_mapped os ~vpn:3 ~before_evict in
+  let _ = Os_core.ensure_mapped os ~vpn:3 in
   Alcotest.(check (list int)) "evicted oldest" [ 1 ] !evicted;
   Alcotest.(check bool) "vpn1 unmapped" false (Os_core.is_resident os ~vpn:1);
   Alcotest.(check bool) "vpn2 resident" true (Os_core.is_resident os ~vpn:2);
   (* re-mapping the evicted page counts a fault, not a disk read (clean) *)
   let faults_before = os.Os_core.metrics.Hw.Metrics.page_faults in
-  let _ = Os_core.ensure_mapped os ~vpn:1 ~before_evict in
+  let _ = Os_core.ensure_mapped os ~vpn:1 in
   Alcotest.(check int) "fault counted"
     (faults_before + 1)
     os.Os_core.metrics.Hw.Metrics.page_faults
@@ -96,23 +96,21 @@ let test_ensure_mapped_and_eviction () =
 let test_dirty_writeback_to_disk () =
   let config = Config.v ~frames:1 () in
   let os = Os_core.create config in
-  let noop _ = () in
-  let _ = Os_core.ensure_mapped os ~vpn:7 ~before_evict:noop in
+  let _ = Os_core.ensure_mapped os ~vpn:7 in
   Os_core.mark_dirty os ~vpn:7;
-  let _ = Os_core.ensure_mapped os ~vpn:8 ~before_evict:noop in
+  let _ = Os_core.ensure_mapped os ~vpn:8 in
   Alcotest.(check bool) "dirty page written to disk" true
     (Mem.Backing_store.resident os.Os_core.disk ~vpn:7);
   Alcotest.(check int) "page_out counted" 1
     os.Os_core.metrics.Hw.Metrics.page_outs;
   (* paging it back in reads the disk *)
-  let _ = Os_core.ensure_mapped os ~vpn:7 ~before_evict:noop in
+  let _ = Os_core.ensure_mapped os ~vpn:7 in
   Alcotest.(check int) "page_in counted" 1
     os.Os_core.metrics.Hw.Metrics.page_ins
 
 let test_pa_of () =
   let os = mk () in
-  let noop _ = () in
-  let pfn = Os_core.ensure_mapped os ~vpn:5 ~before_evict:noop in
+  let pfn = Os_core.ensure_mapped os ~vpn:5 in
   Alcotest.(check (option int)) "pa_of"
     (Some ((pfn lsl 12) lor 0xabc))
     (Os_core.pa_of os ((5 lsl 12) lor 0xabc));

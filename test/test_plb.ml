@@ -38,7 +38,7 @@ let test_purge_matching () =
   Plb.install p ~pd:(pd 1) ~va:0x6000 ~shift:12 Rights.rw;
   Plb.install p ~pd:(pd 2) ~va:0x5000 ~shift:12 Rights.rw;
   let inspected, removed =
-    Plb.purge_matching p (fun d _ _ -> Pd.equal d (pd 1))
+    Plb.purge_matching p (fun d _ _ _ -> Pd.equal d (pd 1))
   in
   Alcotest.(check int) "inspected all" 3 inspected;
   Alcotest.(check int) "removed domain 1" 2 removed;

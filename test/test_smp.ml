@@ -238,6 +238,138 @@ let test_destroy_forces_round_under_lazy () =
   Alcotest.(check int) "the round cleared the pending set" 0
     (h.Smp.h_pending_total ())
 
+(* -- one OS under every core ---------------------------------------------- *)
+
+(* A 4-core machine of [variant] with one domain attached read-write to
+   a small segment and running. *)
+let shared_setup variant ~cores ~seed =
+  let sys =
+    Machines.make_smp variant ~cores ~purge:Smp.Eager (Config.v ~seed ())
+  in
+  let d1 = System_ops.new_domain sys in
+  let seg = System_ops.new_segment sys ~pages:4 () in
+  System_ops.attach sys d1 seg Rights.rw;
+  System_ops.switch_domain sys d1;
+  (sys, d1, seg)
+
+(* An OS operation runs once, on the scheduled core: a revoking grant at
+   4 cores is one kernel entry, however many cores run the shootdown
+   handler. *)
+let test_grant_one_kernel_entry variant () =
+  let sys, d1, seg = shared_setup variant ~cores:4 ~seed:1 in
+  let m = System_ops.metrics sys in
+  let before = m.Metrics.kernel_entries in
+  System_ops.grant sys d1 (Segment.page_va seg 0) Rights.r;
+  Alcotest.(check int) "one kernel entry" 1 (m.Metrics.kernel_entries - before);
+  Alcotest.(check int) "and one shootdown round" 1 m.Metrics.shootdowns
+
+(* One disk: a page written on one core and unmapped on another is
+   written back once and read back once, whatever core each step runs
+   on. *)
+let test_unmap_disk_traffic variant () =
+  List.iter
+    (fun cores ->
+      for seed = 0 to 5 do
+        let sys, _, seg = shared_setup variant ~cores ~seed in
+        let va = Segment.page_va seg 0 in
+        ignore (System_ops.access sys Access.Write va);
+        System_ops.unmap_page sys (Segment.first_vpn seg);
+        Alcotest.check outcome "re-read allowed" Access.Ok
+          (System_ops.access sys Access.Read va);
+        let m = System_ops.metrics sys in
+        let what = Printf.sprintf "%d cores, seed %d" cores seed in
+        Alcotest.(check int) (what ^ ": one page-out") 1 m.Metrics.page_outs;
+        Alcotest.(check int) (what ^ ": one page-in") 1 m.Metrics.page_ins
+      done)
+    [ 1; 2; 4 ]
+
+let machine_modules : (string * (module Os.System_intf.MACHINE)) list =
+  [
+    ("plb", (module Machines.Plb_machine));
+    ("page-group", (module Machines.Pg_machine));
+    ("pk", (module Machines.Pk_machine));
+    ("conv-asid", (module Machines.Conv_machine.Asid));
+    ("conv-flush", (module Machines.Conv_machine.Flush));
+  ]
+
+(* One frame pool: a page core 0 paged in is resident for core 1, whose
+   first touch fills only its own TLB. *)
+let test_shared_residency (module M : Os.System_intf.MACHINE) () =
+  let c0 = M.create Config.default in
+  let c1 = M.add_core c0 ~probe:(Hw.Probe.create ()) in
+  let d = M.new_domain c0 in
+  let seg = M.new_segment c0 ~pages:2 () in
+  M.attach c0 d seg Rights.rw;
+  M.switch_domain c0 d;
+  M.switch_domain c1 d;
+  let va = Segment.page_va seg 0 in
+  let m = M.metrics c0 in
+  Alcotest.check outcome "core 0 reads" Access.Ok (M.access c0 Access.Read va);
+  Alcotest.(check int) "core 0 took the page fault" 1 m.Metrics.page_faults;
+  Alcotest.check outcome "core 1 reads" Access.Ok (M.access c1 Access.Read va);
+  Alcotest.(check int) "core 1's first touch takes no page fault" 1
+    m.Metrics.page_faults
+
+(* An eviction on one core flushes the victim from every core: the other
+   core's next touch misses in its TLB, and no core's hardware
+   over-allows. *)
+let test_eviction_reaches_every_core (module M : Os.System_intf.MACHINE) () =
+  let c0 = M.create (Config.v ~frames:2 ()) in
+  let c1 = M.add_core c0 ~probe:(Hw.Probe.create ()) in
+  let d = M.new_domain c0 in
+  let seg = M.new_segment c0 ~pages:3 () in
+  M.attach c0 d seg Rights.rw;
+  M.switch_domain c0 d;
+  M.switch_domain c1 d;
+  let va i = Segment.page_va seg i in
+  let m = M.metrics c0 in
+  ignore (M.access c0 Access.Write (va 0));
+  ignore (M.access c1 Access.Read (va 0));
+  (* a second touch on core 1 hits its TLB *)
+  let misses = m.Metrics.tlb_misses in
+  ignore (M.access c1 Access.Read (va 0));
+  Alcotest.(check int) "core 1 holds the page" misses m.Metrics.tlb_misses;
+  (* core 0 fills memory: the oldest page, 0, is evicted *)
+  ignore (M.access c0 Access.Read (va 1));
+  ignore (M.access c0 Access.Read (va 2));
+  Alcotest.(check bool) "page 0 evicted" false
+    (Os.Os_core.is_resident (M.os c0) ~vpn:(Segment.first_vpn seg));
+  let probes = List.init 3 (fun i -> (d, va i)) in
+  Alcotest.(check bool) "core 0 never over-allows" false
+    (M.hw_over_allows c0 probes);
+  Alcotest.(check bool) "core 1 never over-allows" false
+    (M.hw_over_allows c1 probes);
+  let misses = m.Metrics.tlb_misses and cache_misses = m.Metrics.cache_misses in
+  Alcotest.check outcome "core 1 re-reads" Access.Ok
+    (M.access c1 Access.Read (va 0));
+  Alcotest.(check bool) "core 1's touch of the victim misses its TLB" true
+    (m.Metrics.tlb_misses > misses);
+  Alcotest.(check bool) "... and its data cache" true
+    (m.Metrics.cache_misses > cache_misses);
+  Alcotest.(check int) "the dirty victim was written back once" 1
+    m.Metrics.page_outs
+
+(* A page-group move made on one core rewrites the page's TLB entry on
+   every core: a stale home-group AID on core 0 would let a domain that
+   later joins the home group reach a page it was denied. *)
+let test_pg_group_move_reaches_every_core () =
+  let module M = Machines.Pg_machine in
+  let c0 = M.create Config.default in
+  let c1 = M.add_core c0 ~probe:(Hw.Probe.create ()) in
+  let d2 = M.new_domain c0 and d3 = M.new_domain c0 in
+  let seg = M.new_segment c0 ~pages:2 () in
+  let p0 = Segment.page_va seg 0 in
+  M.attach c0 d2 seg Rights.r;
+  M.switch_domain c0 d2;
+  Alcotest.check outcome "core 0 caches page 0" Access.Ok
+    (M.access c0 Access.Read p0);
+  (* core 1 denies d3 the page (moving it out of the home group), then
+     attaches d3 to the segment, which joins d3 to the home group *)
+  M.grant c1 d3 p0 Rights.none;
+  M.attach c1 d3 seg Rights.r;
+  Alcotest.(check bool) "core 0 does not over-allow d3" false
+    (M.hw_over_allows c0 [ (d3, p0) ])
+
 (* -- the multicore differential harness --------------------------------- *)
 
 let test_harness_multicore_green () =
@@ -278,6 +410,28 @@ let suite =
       test_batched_flushes_at_budget;
     Alcotest.test_case "lazy: destroy forces a synchronous round" `Quick
       test_destroy_forces_round_under_lazy;
+  ]
+  @ List.concat_map
+      (fun (name, variant) ->
+        [
+          Alcotest.test_case (name ^ ": grant at 4 cores, one kernel entry")
+            `Quick (test_grant_one_kernel_entry variant);
+          Alcotest.test_case (name ^ ": unmap bills one disk round trip")
+            `Quick (test_unmap_disk_traffic variant);
+        ])
+      variants
+  @ List.concat_map
+      (fun (name, m) ->
+        [
+          Alcotest.test_case (name ^ ": residency shared across cores")
+            `Quick (test_shared_residency m);
+          Alcotest.test_case (name ^ ": eviction flushes every core") `Quick
+            (test_eviction_reaches_every_core m);
+        ])
+      machine_modules
+  @ [
+    Alcotest.test_case "page-group: a group move reaches every core" `Quick
+      test_pg_group_move_reaches_every_core;
     Alcotest.test_case "harness green at 4 cores, every policy" `Quick
       test_harness_multicore_green;
     Alcotest.test_case "harness still sees planted bugs at 2 cores" `Quick
